@@ -5,10 +5,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_set>
 #include <utility>
 
-#include "serve/doc_service.h"
 #include "util/logging.h"
 
 namespace rlz {
@@ -32,6 +30,17 @@ uint64_t NowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+// True when a result slot of `op` came back unqueued: its class ring
+// was full on every queue (ServeBatch::unqueued).
+template <typename Op>
+bool HandedBack(const Op& op) {
+  const size_t count = op.type == MessageType::kMultiGet ? op.ids.size() : 1;
+  for (size_t pos : op.batch->batch.unqueued()) {
+    if (pos - op.off < count) return true;  // unsigned: also pos >= off
+  }
+  return false;
 }
 
 }  // namespace
@@ -69,9 +78,17 @@ struct DocServer::Connection {
   uint64_t last_activity_ms = 0;   // last byte in or out
   uint64_t partial_since_ms = 0;   // partial frame held since; 0 = none
   uint64_t write_progress_ms = 0;  // outbound last advanced; 0 = idle
+  uint64_t blocked_pass = 0;  // emission pass that found an op unready
   NetRequest scratch;       // reused request decoder state
 
   size_t unflushed() const { return out.size() - out_off; }
+};
+
+// A ServeBatch of the loop's pool and the number of in-flight ops whose
+// results it holds: at zero it is done and back in the pool.
+struct DocServer::PooledBatch {
+  ServeBatch batch;
+  size_t users = 0;
 };
 
 DocServer::DocServer(DocService* service, const DocServerOptions& options)
@@ -93,7 +110,6 @@ Status DocServer::Start() {
   RLZ_RETURN_IF_ERROR(poller_.Add(wake_fd_.get(), kWakeTag, kPollRead));
   started_.store(true);
   loop_thread_ = std::thread(&DocServer::LoopThread, this);
-  batcher_thread_ = std::thread(&DocServer::BatcherThread, this);
   return Status::OK();
 }
 
@@ -103,12 +119,6 @@ void DocServer::Shutdown() {
   shutdown_requested_.store(true, std::memory_order_release);
   WakeLoop();
   loop_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(handoff_mu_);
-    batcher_stop_ = true;
-    handoff_cv_.notify_all();
-  }
-  batcher_thread_.join();
   joined_ = true;
 }
 
@@ -202,7 +212,9 @@ void DocServer::LoopThread() {
     // client. The reserve sizes Poller::Wait's report batch (see its
     // contract) so a fully-ready server drains in one syscall.
     events.reserve(connections_.size() + 2);
-    if (!poller_.Wait(&events, draining_ ? 20 : TimeoutTickMs()).ok()) break;
+    int timeout_ms = draining_ ? 20 : TimeoutTickMs();
+    if (retry_pending_) timeout_ms = 1;
+    if (!poller_.Wait(&events, timeout_ms).ok()) break;
     for (const PollerEvent& ev : events) {
       if (ev.tag == kListenTag) {
         HandleAccept();
@@ -228,7 +240,8 @@ void DocServer::LoopThread() {
         HandleWritable(it->second.get());
       }
     }
-    PumpCompletions();
+    Submit();
+    EmitReady();
     if (!draining_) SweepTimeouts();
     if (!draining_ && shutdown_requested_.load(std::memory_order_acquire)) {
       // Enter the drain: stop accepting, stop reading, keep answering.
@@ -248,13 +261,14 @@ void DocServer::LoopThread() {
       for (uint64_t id : idle) CloseConnection(id);
     }
     if (draining_ &&
-        ((outstanding_ops_ == 0 && connections_.empty()) ||
+        ((inflight_.empty() && connections_.empty()) ||
          std::chrono::steady_clock::now() >= deadline)) {
       break;
     }
   }
   // Deadline (or poller failure) force-close: anything still here had
-  // its chance to drain.
+  // its chance to drain. Batches still in flight stay pooled; their
+  // destructors wait for the workers.
   for (auto& entry : connections_) {
     poller_.Remove(entry.second->fd.get());
   }
@@ -317,8 +331,12 @@ void DocServer::HandleReadable(Connection* conn) {
     return;
   }
   if (progress) conn->last_activity_ms = NowMs();
-  std::vector<PendingOp> ops;
-  ParseFrames(conn, &ops);
+  const size_t parsed_before = inflight_.size();
+  ParseFrames(conn);
+  if (inflight_.size() > parsed_before) {
+    conn->inflight_ops += inflight_.size() - parsed_before;
+    submit_pending_ = true;
+  }
   // Slow-loris clock: arm while a partial frame sits in the buffer,
   // disarm only when a complete frame clears it — trickled bytes reset
   // the idle clock but never this one.
@@ -327,15 +345,6 @@ void DocServer::HandleReadable(Connection* conn) {
   } else if (conn->partial_since_ms == 0) {
     conn->partial_since_ms = NowMs();
   }
-  if (!ops.empty()) {
-    conn->inflight_ops += ops.size();
-    outstanding_ops_ += ops.size();
-    {
-      std::lock_guard<std::mutex> lock(handoff_mu_);
-      for (PendingOp& op : ops) pending_.push_back(std::move(op));
-      handoff_cv_.notify_one();
-    }
-  }
   if (ReadyToClose(*conn)) {
     CloseConnection(conn->id);
     return;
@@ -343,7 +352,7 @@ void DocServer::HandleReadable(Connection* conn) {
   UpdateInterest(conn);
 }
 
-void DocServer::ParseFrames(Connection* conn, std::vector<PendingOp>* ops) {
+void DocServer::ParseFrames(Connection* conn) {
   while (!conn->poisoned) {
     const std::string_view buf =
         std::string_view(conn->in).substr(conn->in_off);
@@ -366,7 +375,7 @@ void DocServer::ParseFrames(Connection* conn, std::vector<PendingOp>* ops) {
       conn->in_off = 0;
       op.type = MessageType::kError;
       op.error = error;
-      ops->push_back(std::move(op));
+      inflight_.push_back(std::move(op));
       return;
     }
     conn->in_off += consumed;
@@ -380,7 +389,7 @@ void DocServer::ParseFrames(Connection* conn, std::vector<PendingOp>* ops) {
       conn->in_off = 0;
       op.type = MessageType::kError;
       op.error = decoded.message();
-      ops->push_back(std::move(op));
+      inflight_.push_back(std::move(op));
       return;
     }
     op.type = conn->scratch.type;
@@ -399,9 +408,9 @@ void DocServer::ParseFrames(Connection* conn, std::vector<PendingOp>* ops) {
     } else if (op.priority == RequestPriority::kBestEffort) {
       best_effort_frames_.fetch_add(1, std::memory_order_relaxed);
       // Per-connection best-effort budget: over-budget doc requests are
-      // shed right here, before any decode work — the op still flows
-      // through the batcher so its kUnavailable answer stays in
-      // per-connection request order.
+      // shed right here, before any decode work — the op still waits
+      // its turn so its kUnavailable answer stays in per-connection
+      // request order.
       if (op.type != MessageType::kStat) {
         if (conn->best_effort_inflight >= options_.max_best_effort_per_conn) {
           op.reject = WireCode::kUnavailable;
@@ -413,7 +422,7 @@ void DocServer::ParseFrames(Connection* conn, std::vector<PendingOp>* ops) {
       }
     }
     op.ids = std::move(conn->scratch.ids);
-    ops->push_back(std::move(op));
+    inflight_.push_back(std::move(op));
   }
   // Compact the parsed prefix so the buffer cannot grow without bound
   // across partially-received frames.
@@ -453,43 +462,6 @@ void DocServer::HandleWritable(Connection* conn) {
     return;
   }
   UpdateInterest(conn);
-}
-
-void DocServer::PumpCompletions() {
-  std::vector<Completion> done;
-  {
-    std::lock_guard<std::mutex> lock(handoff_mu_);
-    if (completions_.empty()) return;
-    done.swap(completions_);
-  }
-  for (Completion& c : done) {
-    RLZ_CHECK(outstanding_ops_ > 0);
-    --outstanding_ops_;
-    auto it = connections_.find(c.conn_id);
-    if (it == connections_.end()) continue;  // closed mid-flight: drop
-    Connection* conn = it->second.get();
-    RLZ_CHECK(conn->inflight_ops > 0);
-    --conn->inflight_ops;
-    if (c.best_effort && conn->best_effort_inflight > 0) {
-      --conn->best_effort_inflight;
-    }
-    // Arm the write-stall clock when this frame starts a fresh outbound
-    // buffer (a peer that never drains it is reaped by the sweep).
-    if (conn->unflushed() == 0) conn->write_progress_ms = NowMs();
-    conn->out.append(c.frame);
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Opportunistic flush, once per touched connection (a second visit
-  // finds the frame already flushed or the connection gone).
-  for (const Completion& c : done) {
-    auto it = connections_.find(c.conn_id);
-    if (it == connections_.end()) continue;
-    if (it->second->unflushed() > 0 || ReadyToClose(*it->second)) {
-      HandleWritable(it->second.get());
-    } else {
-      UpdateInterest(it->second.get());
-    }
-  }
 }
 
 void DocServer::UpdateInterest(Connection* conn) {
@@ -582,180 +554,181 @@ void DocServer::SweepTimeouts() {
 }
 
 // ---------------------------------------------------------------------
-// Batcher thread: coalesce parsed requests into per-priority DocService
-// submissions, serialize the responses in per-connection request order.
+// Submission and emission: coalesce each poll round's parsed requests
+// into per-priority DocService submissions, answer them in
+// per-connection request order.
 //
-// Priority without inversion (DESIGN.md §14): each coalescing window is
+// Priority without inversion (DESIGN.md §14): a round's service work is
 // split into one ServeBatch per class, all submitted together (the
-// queue's strict-priority pop does the actual ordering), then waited
-// high → normal → best-effort. After each class completes, an emission
-// pass walks the window in arrival order and releases every response
-// that is ready AND not behind an unanswered earlier request on the
-// same connection — positional pipelining requires per-connection
-// responses in request order, but responses for *different* connections
-// need not wait for the best-effort stragglers.
+// queue's strict-priority pop does the actual ordering). Every emission
+// pass walks the in-flight ops in arrival order and answers each op
+// that is ready AND not behind an unanswered earlier op on the same
+// connection — positional pipelining requires per-connection responses
+// in request order, but responses for *different* connections (or of a
+// later round) need not wait for best-effort stragglers.
 
-void DocServer::BatcherThread() {
-  ServeBatch batches[kNumPriorities];  // reused: steady-state alloc-free
-  std::vector<PendingOp> ops;          // the coalescing window
-  std::vector<BatchItem> items[kNumPriorities];
-  // Per-op result location: which class batch, at what offset. cls -1 =
-  // no service work (Stat, poison error, parse-time reject).
-  struct OpPlan {
-    int cls = -1;
-    size_t off = 0;
+void DocServer::Submit() {
+  if (!submit_pending_) return;
+  submit_pending_ = false;
+  PooledBatch* by_class[kNumPriorities] = {};
+  for (PendingOp& op : inflight_) {
+    if (!op.unsubmitted) continue;
+    op.unsubmitted = false;
+    if (op.reject != WireCode::kOk || op.type == MessageType::kStat ||
+        op.type == MessageType::kError) {
+      continue;  // answered without decode
+    }
+    const int cls = static_cast<int>(op.priority);
+    if (by_class[cls] == nullptr) {
+      if (free_batches_.empty()) {
+        batch_pool_.push_back(std::make_unique<PooledBatch>());
+        batch_pool_.back()->batch.set_on_ready([this] {
+          if (!completion_signaled_.exchange(true)) WakeLoop();
+        });
+        free_batches_.push_back(batch_pool_.back().get());
+      }
+      by_class[cls] = free_batches_.back();
+      free_batches_.pop_back();
+      items_[cls].clear();
+    }
+    op.batch = by_class[cls];
+    ++op.batch->users;
+    op.off = items_[cls].size();
+    if (op.type == MessageType::kMultiGet) {
+      for (uint64_t id : op.ids) {
+        items_[cls].push_back({id, 0, 0, false, op.priority, op.deadline_ns});
+      }
+    } else {
+      items_[cls].push_back({op.id, op.offset, op.length,
+                             op.type == MessageType::kGetRange, op.priority,
+                             op.deadline_ns});
+    }
+  }
+  // The emission pass follows every submission, so completions landing
+  // meanwhile (inline sheds and expiries included) need no eventfd write.
+  completion_signaled_.store(true);
+  for (int cls = 0; cls < kNumPriorities; ++cls) {
+    if (by_class[cls] == nullptr) continue;
+    service_->SubmitBatch(items_[cls].data(), items_[cls].size(),
+                          &by_class[cls]->batch);
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    coalesced_requests_.fetch_add(items_[cls].size(),
+                                  std::memory_order_relaxed);
+  }
+}
+
+void DocServer::EmitReady() {
+  if (!completion_signaled_.exchange(false)) {
+    return;  // nothing completed or arrived since the last pass
+  }
+  ++emit_pass_;
+  retry_pending_ = false;
+  // Drops op's claim on its batch; the last claim returns it to the pool.
+  const auto release = [this](PendingOp& op) {
+    if (op.batch != nullptr && --op.batch->users == 0) {
+      free_batches_.push_back(op.batch);
+    }
+    op.batch = nullptr;
   };
-  std::vector<OpPlan> plan;
-  std::vector<char> emitted;           // per-op: response already sent
-  std::unordered_set<uint64_t> blocked; // conns waiting on an earlier op
-  std::vector<MultiGetOut> mgout;      // per-MultiGet response staging
-  std::vector<Completion> done;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(handoff_mu_);
-      handoff_cv_.wait(lock,
-                       [&] { return !pending_.empty() || batcher_stop_; });
-      if (pending_.empty() && batcher_stop_) return;
-      // Everything parsed since the last round is one coalescing
-      // window: requests that arrived across connections while the
-      // previous batch decoded ride the next submission together.
-      ops.clear();
-      ops.swap(pending_);
+  std::vector<uint64_t> touched;
+  for (PendingOp& op : inflight_) {
+    if (op.answered) continue;
+    auto it = connections_.find(op.conn_id);
+    Connection* conn = it == connections_.end() ? nullptr : it->second.get();
+    if (op.batch != nullptr && conn != nullptr && HandedBack(op)) {
+      // No queue room (rare — the rings were full): the loop never waits
+      // for space, it resubmits next round.
+      release(op);
+      op.unsubmitted = submit_pending_ = retry_pending_ = true;
     }
-    const size_t n = ops.size();
-    plan.assign(n, OpPlan{});
-    emitted.assign(n, 0);
-    for (auto& class_items : items) class_items.clear();
-    for (size_t i = 0; i < n; ++i) {
-      const PendingOp& op = ops[i];
-      if (op.reject != WireCode::kOk) continue;  // answered without decode
-      const int cls = static_cast<int>(op.priority);
-      switch (op.type) {
-        case MessageType::kGet:
-          plan[i] = {cls, items[cls].size()};
-          items[cls].push_back(
-              {op.id, 0, 0, false, op.priority, op.deadline_ns});
-          break;
-        case MessageType::kGetRange:
-          plan[i] = {cls, items[cls].size()};
-          items[cls].push_back({op.id, op.offset, op.length, true,
-                                op.priority, op.deadline_ns});
-          break;
-        case MessageType::kMultiGet:
-          plan[i] = {cls, items[cls].size()};
-          for (uint64_t id : op.ids) {
-            items[cls].push_back(
-                {id, 0, 0, false, op.priority, op.deadline_ns});
-          }
-          break;
-        default:  // kStat / kError: no decode work
-          break;
+    const bool ready =
+        !op.unsubmitted && (op.batch == nullptr || op.batch->batch.done());
+    if (conn != nullptr && conn->blocked_pass == emit_pass_) continue;
+    if (!ready) {
+      if (conn != nullptr) conn->blocked_pass = emit_pass_;
+      continue;
+    }
+    op.answered = true;
+    if (conn != nullptr) {  // else closed mid-flight: drop
+      RLZ_CHECK(conn->inflight_ops > 0);
+      --conn->inflight_ops;
+      // Mirror of the ParseFrames budget increment, so exactly what was
+      // charged is released.
+      if (op.priority == RequestPriority::kBestEffort &&
+          op.type != MessageType::kStat && op.reject == WireCode::kOk &&
+          conn->best_effort_inflight > 0) {
+        --conn->best_effort_inflight;
       }
+      // Arm the write-stall clock when this frame starts a fresh outbound
+      // buffer (a peer that never drains it is reaped by the sweep).
+      if (conn->unflushed() == 0) conn->write_progress_ms = NowMs();
+      EncodeResponse(op, &conn->out);
+      frames_sent_.fetch_add(1, std::memory_order_relaxed);
+      touched.push_back(conn->id);
     }
-    size_t total_items = 0;
-    for (auto& class_items : items) total_items += class_items.size();
-    for (int cls = 0; cls < kNumPriorities; ++cls) {
-      if (items[cls].empty()) continue;
-      service_->SubmitBatch(items[cls].data(), items[cls].size(),
-                            &batches[cls]);
-      batches_.fetch_add(1, std::memory_order_relaxed);
+    release(op);
+  }
+  while (!inflight_.empty() && inflight_.front().answered) {
+    inflight_.pop_front();
+  }
+  // Opportunistic flush, once per touched connection (a second visit
+  // finds the frame already flushed or the connection gone).
+  for (uint64_t id : touched) {
+    auto it = connections_.find(id);
+    if (it == connections_.end()) continue;
+    if (it->second->unflushed() > 0 || ReadyToClose(*it->second)) {
+      HandleWritable(it->second.get());
+    } else {
+      UpdateInterest(it->second.get());
     }
-    if (total_items > 0) {
-      coalesced_requests_.fetch_add(total_items, std::memory_order_relaxed);
-    }
-    size_t remaining = n;
-    bool cls_ready[kNumPriorities];
-    for (int cls = 0; cls < kNumPriorities; ++cls) {
-      cls_ready[cls] = items[cls].empty();
-    }
-    for (int stage = 0; stage < kNumPriorities && remaining > 0; ++stage) {
-      if (!items[stage].empty()) {
-        batches[stage].Wait();
-        cls_ready[stage] = true;
-      } else if (stage > 0) {
-        continue;  // nothing new became ready since the last pass
+  }
+}
+
+void DocServer::EncodeResponse(const PendingOp& op, std::string* out) {
+  const bool crc = (op.flags & kFlagCrc) != 0;
+  if (op.reject != WireCode::kOk) {
+    EncodeRejectResponse(op.type, op.reject, service_->SuggestedRetryAfterMs(),
+                         op.error, crc, out);
+    return;
+  }
+  switch (op.type) {
+    case MessageType::kGet:
+    case MessageType::kGetRange: {
+      const GetResult& r = op.batch->batch.results()[op.off];
+      if (r.ok()) {
+        EncodeDocResponse(op.type, WireCode::kOk, *r.text, crc, out);
+      } else if (r.status.code() == StatusCode::kUnavailable) {
+        // Admission shed: attach the retry-after hint.
+        EncodeRejectResponse(op.type, WireCode::kUnavailable,
+                             service_->SuggestedRetryAfterMs(),
+                             r.status.message(), crc, out);
+      } else {
+        EncodeDocResponse(op.type, ToWireCode(r.status), r.status.message(),
+                          crc, out);
       }
-      done.clear();
-      blocked.clear();
-      for (size_t i = 0; i < n; ++i) {
-        if (emitted[i]) continue;
-        const PendingOp& op = ops[i];
-        if (blocked.count(op.conn_id) != 0) continue;
-        if (plan[i].cls >= 0 && !cls_ready[plan[i].cls]) {
-          blocked.insert(op.conn_id);
-          continue;
-        }
-        Completion c;
-        c.conn_id = op.conn_id;
-        // Mirror of the ParseFrames budget increment, so the loop
-        // releases exactly what was charged.
-        c.best_effort = op.priority == RequestPriority::kBestEffort &&
-                        op.type != MessageType::kStat &&
-                        op.reject == WireCode::kOk;
-        const bool crc = (op.flags & kFlagCrc) != 0;
-        if (op.reject != WireCode::kOk) {
-          EncodeRejectResponse(op.type, op.reject,
-                               service_->SuggestedRetryAfterMs(), op.error,
-                               crc, &c.frame);
+      return;
+    }
+    case MessageType::kMultiGet: {
+      std::vector<MultiGetOut> elements(op.ids.size());
+      for (size_t k = 0; k < op.ids.size(); ++k) {
+        const GetResult& r = op.batch->batch.results()[op.off + k];
+        if (r.ok()) {
+          elements[k].bytes = *r.text;
         } else {
-          switch (op.type) {
-            case MessageType::kGet:
-            case MessageType::kGetRange: {
-              const GetResult& r =
-                  batches[plan[i].cls].results()[plan[i].off];
-              if (r.ok()) {
-                EncodeDocResponse(op.type, WireCode::kOk, *r.text, crc,
-                                  &c.frame);
-              } else if (r.status.code() == StatusCode::kUnavailable) {
-                // Admission shed: attach the retry-after hint.
-                EncodeRejectResponse(op.type, WireCode::kUnavailable,
-                                     service_->SuggestedRetryAfterMs(),
-                                     r.status.message(), crc, &c.frame);
-              } else {
-                EncodeDocResponse(op.type, ToWireCode(r.status),
-                                  r.status.message(), crc, &c.frame);
-              }
-              break;
-            }
-            case MessageType::kMultiGet: {
-              mgout.clear();
-              for (size_t k = 0; k < op.ids.size(); ++k) {
-                const GetResult& r =
-                    batches[plan[i].cls].results()[plan[i].off + k];
-                MultiGetOut o;
-                if (r.ok()) {
-                  o.bytes = *r.text;
-                } else {
-                  o.code = ToWireCode(r.status);
-                  o.bytes = r.status.message();
-                }
-                mgout.push_back(o);
-              }
-              EncodeMultiGetResponse(mgout.data(), mgout.size(), crc,
-                                     &c.frame);
-              break;
-            }
-            case MessageType::kStat:
-              EncodeStatResponse(BuildWireStats(), crc, &c.frame);
-              break;
-            case MessageType::kError:
-              EncodeDocResponse(MessageType::kError,
-                                WireCode::kInvalidArgument, op.error,
-                                /*crc=*/false, &c.frame);
-              break;
-          }
+          elements[k].code = ToWireCode(r.status);
+          elements[k].bytes = r.status.message();
         }
-        emitted[i] = 1;
-        --remaining;
-        done.push_back(std::move(c));
       }
-      if (done.empty()) continue;
-      {
-        std::lock_guard<std::mutex> lock(handoff_mu_);
-        for (Completion& c : done) completions_.push_back(std::move(c));
-      }
-      WakeLoop();
+      EncodeMultiGetResponse(elements.data(), elements.size(), crc, out);
+      return;
     }
+    case MessageType::kStat:
+      EncodeStatResponse(BuildWireStats(), crc, out);
+      return;
+    case MessageType::kError:
+      EncodeDocResponse(MessageType::kError, WireCode::kInvalidArgument,
+                        op.error, /*crc=*/false, out);
+      return;
   }
 }
 

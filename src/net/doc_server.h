@@ -4,14 +4,15 @@
 /// \file
 /// The network front end (DESIGN.md §13): an epoll event loop accepting
 /// loopback TCP connections that speak the length-prefixed protocol of
-/// net/protocol.h, plus a batcher thread that coalesces requests
-/// arriving across connections into DocService batched submissions.
+/// net/protocol.h and coalescing each poll round's requests, across
+/// connections, into DocService batched submissions.
 ///
-/// Threading: the *loop thread* owns every connection (accept, read,
-/// parse, write, close — no locks on connection state); the *batcher
-/// thread* owns one reused ServeBatch and the DocService submission;
-/// they meet at two mutex-guarded vectors (parsed ops in, serialized
-/// response frames out) and an eventfd that wakes the loop. DocService
+/// Threading: one *loop thread* owns every connection (accept, read,
+/// parse, write, close — no locks on connection state) and every
+/// submission. It never waits on a worker: each round's parsed requests
+/// become one window of per-class ServeBatches in flight, whose final
+/// completion wakes the loop through an eventfd; the loop then answers
+/// whatever is ready, in per-connection request order. DocService
 /// workers never touch a socket.
 ///
 /// Backpressure: each connection has a bounded outbound buffer and a
@@ -31,8 +32,8 @@
 /// frame held past the header deadline), and write-stalled connections.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -43,12 +44,10 @@
 #include "net/poller.h"
 #include "net/protocol.h"
 #include "net/socket.h"
+#include "serve/doc_service.h"
 #include "util/status.h"
 
 namespace rlz {
-
-class DocService;
-
 namespace net {
 
 /// Knobs for DocServer. Every bound has a documented floor applied by
@@ -114,7 +113,9 @@ struct NetServerStats {
   uint64_t bytes_received = 0;
   /// Bytes written to sockets.
   uint64_t bytes_sent = 0;
-  /// ServeBatch submissions made by the batcher.
+  /// ServeBatch submissions made by the loop: one per priority class
+  /// present in a poll round, plus resubmissions of requests that found
+  /// no queue room.
   uint64_t batches = 0;
   /// Document requests coalesced into those submissions.
   uint64_t coalesced_requests = 0;
@@ -137,9 +138,9 @@ struct NetServerStats {
 };
 
 /// The socket front end over a DocService (DESIGN.md §13). Start() binds
-/// and spawns the loop and batcher threads; Shutdown() stops accepting,
-/// answers everything already parsed, flushes, and joins. The service
-/// (and its archive) must outlive the server.
+/// and spawns the loop thread; Shutdown() stops accepting, answers
+/// everything already parsed, flushes, and joins. The service (and its
+/// archive) must outlive the server.
 class DocServer {
  public:
   /// Prepares a server over `service` (not owned). No sockets exist
@@ -151,9 +152,9 @@ class DocServer {
   DocServer(const DocServer&) = delete;
   DocServer& operator=(const DocServer&) = delete;
 
-  /// Binds the loopback listen socket and spawns the loop and batcher
-  /// threads. Fails (and leaves the object inert) when the port is
-  /// taken or fd resources are exhausted.
+  /// Binds the loopback listen socket and spawns the loop thread. Fails
+  /// (and leaves the object inert) when the port is taken or fd
+  /// resources are exhausted.
   Status Start();
 
   /// The bound TCP port (valid after a successful Start()).
@@ -161,7 +162,7 @@ class DocServer {
 
   /// Graceful drain: stop accepting and reading, answer every request
   /// already parsed, flush every outbound buffer (up to
-  /// drain_timeout_ms), close all connections, join both threads.
+  /// drain_timeout_ms), close all connections, join the loop thread.
   /// Idempotent; safe to call concurrently with serving traffic.
   void Shutdown();
 
@@ -173,8 +174,11 @@ class DocServer {
   const DocServerOptions& options() const { return options_; }
 
  private:
-  // One parsed request (or a poisoned-connection error marker) on its
-  // way to the batcher, in per-connection parse order.
+  struct Connection;
+  struct PooledBatch;
+
+  // One parsed request (or a poisoned-connection error marker), in
+  // per-connection parse order.
   struct PendingOp {
     uint64_t conn_id = 0;
     MessageType type = MessageType::kGet;
@@ -184,32 +188,34 @@ class DocServer {
     uint64_t length = 0;
     RequestPriority priority = RequestPriority::kNormal;
     uint64_t deadline_ns = 0;   // absolute steady-clock expiry; 0 = none
-    // Non-kOk: rejected at parse time (per-connection budget) — the
-    // batcher answers with this code + retry-after, no decode.
+    // Non-kOk: rejected at parse time (per-connection budget) — answered
+    // with this code + retry-after, no decode.
     WireCode reject = WireCode::kOk;
     std::vector<uint64_t> ids;  // kMultiGet
     std::string error;          // kError/reject: the message to report
+    // Loop state: the batch holding the results from slot `off` on (null
+    // for ops with no service work).
+    PooledBatch* batch = nullptr;
+    size_t off = 0;
+    bool unsubmitted = true;  // service work not yet (re)submitted
+    bool answered = false;
   };
-
-  // One serialized response frame on its way back to the loop.
-  struct Completion {
-    uint64_t conn_id = 0;
-    bool best_effort = false;  // releases the per-conn best-effort budget
-    std::string frame;
-  };
-
-  struct Connection;
 
   void LoopThread();
-  void BatcherThread();
   void HandleAccept();
   void HandleReadable(Connection* conn);
   void HandleWritable(Connection* conn);
-  // Parses every complete frame in conn->in into pending ops; poisons
+  // Parses every complete frame in conn->in onto inflight_; poisons
   // the connection on malformed input.
-  void ParseFrames(Connection* conn, std::vector<PendingOp>* ops);
-  // Delivers serialized frames into their connections' outbound buffers.
-  void PumpCompletions();
+  void ParseFrames(Connection* conn);
+  // Submits every unsubmitted op: one ServeBatch per class present.
+  void Submit();
+  // Answers, in arrival order, every ready op no unanswered earlier op
+  // on its connection precedes; marks ops that found no queue room for
+  // resubmission; flushes.
+  void EmitReady();
+  // Appends op's response frame to `out`.
+  void EncodeResponse(const PendingOp& op, std::string* out);
   // Recomputes and applies a connection's epoll interest set from its
   // pause/flush state.
   void UpdateInterest(Connection* conn);
@@ -240,18 +246,25 @@ class DocServer {
   ScopedFd wake_fd_;  // eventfd: completions ready / shutdown requested
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections_;
   uint64_t next_conn_id_ = 2;  // 0 = listener, 1 = wakeup
-  // Parsed ops not yet answered with a delivered completion; loop-thread
-  // only (drain termination condition).
-  size_t outstanding_ops_ = 0;
   // Loop-thread view of the drain state (set once shutdown_requested_
   // is observed; connections stop reading and close when flushed).
   bool draining_ = false;
 
-  std::mutex handoff_mu_;
-  std::condition_variable handoff_cv_;  // batcher: ops arrived / stop
-  std::vector<PendingOp> pending_;      // loop -> batcher (guarded)
-  std::vector<Completion> completions_; // batcher -> loop (guarded)
-  bool batcher_stop_ = false;           // guarded by handoff_mu_
+  // Loop-thread only: parsed ops in arrival order until answered (the
+  // drain ends when none is left), and submission staging.
+  std::deque<PendingOp> inflight_;
+  bool submit_pending_ = false;  // inflight_ holds unsubmitted ops
+  std::vector<BatchItem> items_[kNumPriorities];
+  uint64_t emit_pass_ = 0;  // stamps Connection::blocked_pass
+  bool retry_pending_ = false;  // resubmitted: poll on a short tick
+  // Set by batch completions (each pooled batch's hook) and loop
+  // submissions, cleared by the emission pass; only its false→true
+  // writer touches the eventfd.
+  std::atomic<bool> completion_signaled_{false};
+  // Every batch the loop ever used, and the idle ones. Declared after
+  // all their hooks touch: destroying a batch waits for its requests.
+  std::vector<std::unique_ptr<PooledBatch>> batch_pool_;
+  std::vector<PooledBatch*> free_batches_;
 
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<bool> started_{false};
@@ -277,7 +290,6 @@ class DocServer {
   std::mutex join_mu_;  // Shutdown is idempotent
   bool joined_ = false;
   std::thread loop_thread_;
-  std::thread batcher_thread_;
 };
 
 }  // namespace net

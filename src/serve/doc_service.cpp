@@ -55,6 +55,7 @@ void ServeBatch::CountDown() {
   std::lock_guard<std::mutex> lock(mu_);
   if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     cv_.notify_all();
+    if (on_ready_) on_ready_();
   }
 }
 
@@ -159,7 +160,8 @@ void DocService::NotifyWorkers() {
   work_cv_.notify_all();
 }
 
-bool DocService::PushWithBackpressure(const ServeRequest& request, int dest) {
+bool DocService::PushWithBackpressure(const ServeRequest& request, int dest,
+                                      bool may_block) {
   const int num_queues = static_cast<int>(queues_.size());
   for (;;) {
     // Preferred queue first, then spill to peers: any worker can serve
@@ -176,9 +178,12 @@ bool DocService::PushWithBackpressure(const ServeRequest& request, int dest) {
     }
     // This class's ring is full on every queue. Best-effort sheds rather
     // than blocks (DESIGN.md §14): a bulk flood must never stall the
-    // submitting thread — for the network front end that thread is the
-    // batcher serving every connection.
-    if (request.priority == RequestPriority::kBestEffort) return false;
+    // submitting thread. A submitter that may not block at all (the
+    // network front end's loop thread, which serves every connection)
+    // gets the request back to resubmit.
+    if (request.priority == RequestPriority::kBestEffort || !may_block) {
+      return false;
+    }
     // Higher classes: bounded-memory backpressure. The request was
     // already accepted (in_flight_ counts it), so workers stay alive
     // until it is enqueued and served — even mid-Shutdown.
@@ -249,6 +254,7 @@ void DocService::SubmitBatchImpl(View view, size_t count, ServeBatch* batch) {
   batch->Wait();  // a reused batch must be idle before it is re-armed
   batch->results_.clear();
   batch->results_.resize(count);
+  batch->unqueued_.clear();
   if (count == 0) return;
   batch->remaining_.store(count, std::memory_order_release);
   if (!Accept(count)) {
@@ -323,12 +329,19 @@ void DocService::SubmitBatchImpl(View view, size_t count, ServeBatch* batch) {
       queued_.fetch_add(pushed);
       NotifyWorkers();
     }
+    const bool may_block = !batch->on_ready_;
     for (size_t i = pushed; i < stage.size(); ++i) {
-      if (!PushWithBackpressure(stage[i], w)) {
+      if (PushWithBackpressure(stage[i], w, may_block)) continue;
+      if (stage[i].priority == RequestPriority::kBestEffort) {
         // Best-effort with its class rings full everywhere: shed.
         shed_.fetch_add(1, std::memory_order_relaxed);
         CompleteRejected(stage[i],
                          Status::Unavailable("overloaded: queue full"));
+      } else {
+        // A hooked batch's submitter never waits: hand the request back.
+        batch->unqueued_.push_back(
+            static_cast<size_t>(stage[i].out - batch->results_.data()));
+        CompleteRejected(stage[i], Status::Unavailable("queue full"));
       }
     }
   }

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -194,18 +195,38 @@ class ServeBatch {
   /// Number of requests in the current/last submission.
   size_t size() const { return results_.size(); }
 
+  /// Arms a completion hook for an event-loop submitter (DESIGN.md §13):
+  /// the final result of every later submission runs `on_ready` on the
+  /// completing thread, under the batch's lock — keep it short and never
+  /// touch this batch from it. Such a submitter must never block, so
+  /// SubmitBatch does not wait for queue space on a hooked batch: a
+  /// kHigh/kNormal request whose class ring is full on every queue
+  /// completes at once with Unavailable and is listed in unqueued(), for
+  /// the caller to resubmit. Set only while the batch is idle.
+  void set_on_ready(std::function<void()> on_ready) {
+    on_ready_ = std::move(on_ready);
+  }
+
+  /// Positions of the last submission that found no queue room (hooked
+  /// batches only; see set_on_ready). Complete when SubmitBatch returns,
+  /// for the submitting thread to read at once.
+  const std::vector<size_t>& unqueued() const { return unqueued_; }
+
  private:
   friend class DocService;
 
   /// Worker-side completion: one count per delivered result. The final
-  /// decrement wakes Wait(). Runs entirely under mu_ so that a waiter
-  /// returning from Wait() (and possibly destroying the batch) can never
-  /// race a completing worker still inside this object.
+  /// decrement wakes Wait() and runs the hook. Runs entirely under mu_ —
+  /// the hook included — so that a waiter returning from Wait() (and
+  /// possibly destroying the batch, or the hook's owner) can never race
+  /// a completing worker still inside this object or its hook.
   void CountDown();
 
   std::vector<GetResult> results_;
   std::vector<ServeRequest> stage_;   // per-worker submission staging
   std::vector<uint32_t> routes_;      // per-id destination worker
+  std::vector<size_t> unqueued_;      // hooked batches: no queue room
+  std::function<void()> on_ready_;
   std::atomic<size_t> remaining_{0};
   std::mutex mu_;
   std::condition_variable cv_;
@@ -263,7 +284,8 @@ class DocService {
   /// to its shard-affine worker queue, enqueueing per-queue groups under
   /// one lock each, and arms `batch` to collect results positionally.
   /// Returns once everything is enqueued (blocking only when every queue
-  /// is full — backpressure); call batch->Wait() for completion. A reused
+  /// is full — backpressure — and never for a batch with a completion
+  /// hook); call batch->Wait() for completion. A reused
   /// batch re-submits with zero allocations once its buffers are warm.
   /// After Shutdown(), every request completes immediately with
   /// Unavailable.
@@ -349,10 +371,12 @@ class DocService {
   void SubmitBatchImpl(View view, size_t count, ServeBatch* batch);
   /// Enqueues one routed request, spilling to peers when the preferred
   /// queue is full. Returns true once enqueued. kHigh/kNormal block until
-  /// a slot frees (backpressure); kBestEffort returns false when its
-  /// class ring is full on every queue — the caller sheds (DESIGN.md
-  /// §14), so a bulk flood can never stall a submitting thread.
-  bool PushWithBackpressure(const ServeRequest& request, int dest);
+  /// a slot frees (backpressure) when `may_block`; kBestEffort returns
+  /// false when its class ring is full on every queue — the caller sheds
+  /// (DESIGN.md §14), so a bulk flood can never stall a submitting
+  /// thread — and so does any class when `may_block` is false.
+  bool PushWithBackpressure(const ServeRequest& request, int dest,
+                            bool may_block = true);
   /// Completes an admitted-then-rejected request (shed or expired) with
   /// `status`, off the worker path: delivers to its promise or
   /// batch slot and runs FinishOne().

@@ -1,3 +1,4 @@
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,10 @@ struct LcpCase {
   size_t len;
   int alphabet;
 };
+
+// Prints the case name so the test's listed GetParam() value is stable;
+// gtest's default byte dump would include the name pointer's address.
+void PrintTo(const LcpCase& c, std::ostream* os) { *os << c.name; }
 
 class LcpMatchesNaiveTest : public ::testing::TestWithParam<LcpCase> {};
 

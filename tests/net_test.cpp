@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -915,7 +917,250 @@ TEST(NetClientTest, HungServerSurfacesDeadlineExceeded) {
 }
 
 // ---------------------------------------------------------------------------
-// The BatchItem submission path the batcher uses (mixed whole-doc and
+// Several windows in flight (DESIGN.md §13): the loop thread never waits
+// on a worker, so a request stuck in decode holds up only the responses
+// behind it on its own connection.
+
+constexpr size_t kBlockedId = 0;
+
+// An archive whose decodes of one id block until the test opens the
+// latch: it pins DocService workers so requests stay in flight on cue.
+class LatchedArchive : public Archive {
+ public:
+  explicit LatchedArchive(const Archive* base) : base_(base) {}
+
+  using Archive::Get;
+  using Archive::GetRange;
+  std::string name() const override { return base_->name(); }
+  size_t num_docs() const override { return base_->num_docs(); }
+  uint64_t stored_bytes() const override { return base_->stored_bytes(); }
+  Status Save(const std::string&) const override {
+    return Status::Unimplemented("latched test archive");
+  }
+  Status Get(size_t id, std::string* doc, SimDisk* disk,
+             DecodeScratch* scratch) const override {
+    Hold(id);
+    return base_->Get(id, doc, disk, scratch);
+  }
+  Status GetRange(size_t id, size_t offset, size_t length, std::string* text,
+                  SimDisk* disk, DecodeScratch* scratch) const override {
+    Hold(id);
+    return base_->GetRange(id, offset, length, text, disk, scratch);
+  }
+
+  // Lets every held and future decode of the blocked id through.
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+  // Waits (up to 10 s) until `n` decodes of the blocked id are held.
+  bool WaitHeld(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return held_ >= n; });
+  }
+
+ private:
+  void Hold(size_t id) const {
+    if (id != kBlockedId) return;
+    std::unique_lock<std::mutex> lock(mu_);
+    ++held_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return open_; });
+  }
+
+  const Archive* base_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable int held_ = 0;
+  mutable bool open_ = false;
+};
+
+// A server over a LatchedArchive with two uncached workers. Teardown
+// opens the latch first, so a failing test never hangs the drain.
+class LatchedHarness {
+ public:
+  explicit LatchedHarness(DocServiceOptions service_options = {})
+      : collection_(TestCollection(1 << 18, 12)) {
+    ShardedStoreOptions store_options;
+    store_options.num_shards = 2;
+    store_ = ShardedStore::Build(collection_, store_options);
+    archive_ = std::make_unique<LatchedArchive>(store_.get());
+    service_options.num_threads = 2;
+    service_options.cache_bytes = 0;
+    service_ = std::make_unique<DocService>(archive_.get(), service_options);
+    server_ = std::make_unique<DocServer>(service_.get());
+    const Status started = server_->Start();
+    RLZ_CHECK(started.ok()) << started.ToString();
+  }
+
+  ~LatchedHarness() {
+    archive_->Open();
+    server_->Shutdown();
+    service_->Shutdown();
+  }
+
+  const Collection& collection() const { return collection_; }
+  LatchedArchive& archive() { return *archive_; }
+  DocService& service() { return *service_; }
+  DocServer& server() { return *server_; }
+
+  std::unique_ptr<NetClient> Connect(NetClientOptions options = {}) {
+    auto client = NetClient::Connect(server_->port(), options);
+    RLZ_CHECK(client.ok()) << client.status().ToString();
+    return std::move(client).value();
+  }
+
+  // Waits (up to 10 s) until the workers have executed `n` requests.
+  bool WaitExecuted(uint64_t n) {
+    for (int i = 0; i < 1000; ++i) {
+      if (service_->Stats().requests >= n) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+  }
+
+ private:
+  Collection collection_;
+  std::unique_ptr<ShardedStore> store_;
+  std::unique_ptr<LatchedArchive> archive_;
+  std::unique_ptr<DocService> service_;
+  std::unique_ptr<DocServer> server_;
+};
+
+// A client whose receives give up after 3 s: an answer the loop withholds
+// shows up as DeadlineExceeded instead of a hang.
+NetClientOptions Bounded(RequestPriority priority = RequestPriority::kNormal) {
+  NetClientOptions options;
+  options.deadline_ms = 3000;
+  options.priority = priority;
+  return options;
+}
+
+TEST(DocServerTest, BlockedDecodeHoldsUpOnlyItsOwnConnection) {
+  LatchedHarness harness;
+  auto stuck = harness.Connect();
+  auto other = harness.Connect(Bounded());
+  stuck->SendGet(kBlockedId);
+  ASSERT_TRUE(stuck->Flush().ok());
+  ASSERT_TRUE(harness.archive().WaitHeld(1));
+  // The other connection's request is a later window on the other
+  // worker: it is answered while the first is still decoding.
+  auto doc = other->Get(1);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(*doc, harness.collection().doc(1));
+  harness.archive().Open();
+  auto held = stuck->Receive();
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  ASSERT_TRUE(held->ok());
+  EXPECT_EQ(held->payload, harness.collection().doc(kBlockedId));
+}
+
+TEST(DocServerTest, FullQueuesNeverStallTheLoop) {
+  DocServiceOptions options;
+  options.queue_depth = 4;
+  options.normal_queue_fraction = 0.0;  // normal rings at their 1-slot floor
+  LatchedHarness harness(options);
+  auto client = harness.Connect();
+  auto observer = harness.Connect(Bounded());
+  // Pin both workers on the blocked id...
+  client->SendGet(kBlockedId);
+  client->SendGet(kBlockedId);
+  ASSERT_TRUE(client->Flush().ok());
+  ASSERT_TRUE(harness.archive().WaitHeld(2));
+  // ...then pipeline more normal requests than the two rings hold.
+  constexpr uint64_t kBacklog = 6;
+  for (uint64_t i = 1; i <= kBacklog; ++i) client->SendGet(i);
+  ASSERT_TRUE(client->Flush().ok());
+  for (int i = 0; i < 1000 && harness.service().Stats().queued < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  // The loop still answers Stat on another connection: it never blocks
+  // on queue space.
+  auto stat = observer->Stat();
+  ASSERT_TRUE(stat.ok()) << stat.status().ToString();
+  EXPECT_EQ(stat->queued, 2u);
+  // The requests that found no room were handed back and resubmitted
+  // (resubmissions count as coalesced requests again).
+  EXPECT_GT(stat->net_coalesced_requests, 2 + kBacklog);
+  harness.archive().Open();
+  // Nothing was lost or reordered while the rings were full.
+  for (int i = 0; i < 2; ++i) {
+    auto held = client->Receive();
+    ASSERT_TRUE(held.ok()) << held.status().ToString();
+    ASSERT_TRUE(held->ok());
+    EXPECT_EQ(held->payload, harness.collection().doc(kBlockedId));
+  }
+  for (uint64_t i = 1; i <= kBacklog; ++i) {
+    auto doc = client->Receive();
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    ASSERT_TRUE(doc->ok()) << "response " << i;
+    EXPECT_EQ(doc->payload, harness.collection().doc(i)) << "response " << i;
+  }
+}
+
+TEST(DocServerTest, PipelinedWindowsAnswerInOrderHighPriorityNeverWaits) {
+  LatchedHarness harness;
+  auto mixed = harness.Connect();
+  auto urgent = harness.Connect(Bounded(RequestPriority::kHigh));
+  RequestOptions best_effort;
+  best_effort.priority = RequestPriority::kBestEffort;
+  RequestOptions normal;
+  RequestOptions high;
+  high.priority = RequestPriority::kHigh;
+  // Window 1: a best-effort straggler that stays in decode.
+  std::string wire;
+  EncodeGetRequest(kBlockedId, best_effort, &wire);
+  mixed->SendRaw(wire);
+  ASSERT_TRUE(mixed->Flush().ok());
+  ASSERT_TRUE(harness.archive().WaitHeld(1));
+  // Windows 2 and 3, mixed classes, each decoded while window 1 waits.
+  wire.clear();
+  EncodeGetRangeRequest(2, 3, 50, normal, &wire);
+  EncodeGetRequest(3, high, &wire);
+  EncodeGetRequest(4, best_effort, &wire);
+  mixed->SendRaw(wire);
+  ASSERT_TRUE(mixed->Flush().ok());
+  ASSERT_TRUE(harness.WaitExecuted(3));
+  wire.clear();
+  const uint64_t page[] = {5, 6};
+  EncodeMultiGetRequest(page, 2, high, &wire);
+  EncodeGetRequest(7, normal, &wire);
+  mixed->SendRaw(wire);
+  ASSERT_TRUE(mixed->Flush().ok());
+  ASSERT_TRUE(harness.WaitExecuted(6));
+  // A high-priority request on another connection does not wait behind
+  // the best-effort straggler...
+  auto doc = urgent->Get(8);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(*doc, harness.collection().doc(8));
+  // ...while every response of the pipelined connection does: positional
+  // order holds across windows.
+  EXPECT_EQ(harness.server().stats().frames_sent, 1u);
+  harness.archive().Open();
+  const auto expect_doc = [&](const std::string& want, const char* what) {
+    auto response = mixed->Receive();
+    ASSERT_TRUE(response.ok()) << what << ": " << response.status().ToString();
+    ASSERT_TRUE(response->ok()) << what;
+    EXPECT_EQ(response->payload, want) << what;
+  };
+  const Collection& c = harness.collection();
+  expect_doc(std::string(c.doc(kBlockedId)), "best-effort straggler");
+  expect_doc(std::string(c.doc(2).substr(3, 50)), "normal range");
+  expect_doc(std::string(c.doc(3)), "high get");
+  expect_doc(std::string(c.doc(4)), "best-effort get");
+  auto multi = mixed->Receive();
+  ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+  ASSERT_EQ(multi->elements.size(), 2u);
+  EXPECT_EQ(multi->elements[0].bytes, c.doc(5));
+  EXPECT_EQ(multi->elements[1].bytes, c.doc(6));
+  expect_doc(std::string(c.doc(7)), "normal get");
+}
+
+// ---------------------------------------------------------------------------
+// The BatchItem submission path the loop uses (mixed whole-doc and
 // range requests in one ServeBatch).
 
 TEST(DocServiceBatchItemTest, MixedItemsMatchDirectCalls) {

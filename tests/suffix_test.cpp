@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,10 @@ struct SaCase {
   size_t len;
   int alphabet;
 };
+
+// Prints the case name so the test's listed GetParam() value is stable;
+// gtest's default byte dump would include the name pointer's address.
+void PrintTo(const SaCase& c, std::ostream* os) { *os << c.name; }
 
 class SuffixArrayMatchesNaiveTest : public ::testing::TestWithParam<SaCase> {};
 
