@@ -149,7 +149,7 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
   store->shard_dict_bytes_ = shard_dict_bytes;
 
   store->shards_.resize(nshards);
-  std::vector<ArchiveBuildReport> reports(nshards);
+  store->meta_.resize(nshards);
   auto build_shard = [&](size_t s) {
     const size_t begin = store->router_->start(s);
     const size_t end = store->router_->start(s + 1);
@@ -160,19 +160,13 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
         collection.data().substr(collection.doc_offset(begin),
                                  collection.doc_offset(end) -
                                      collection.doc_offset(begin));
-    std::shared_ptr<const Dictionary> dict = DictionaryBuilder::BuildSampled(
-        shard_text, shard_dict_bytes, options.sample_bytes);
-    ArchiveBuilderOptions builder_options;
-    builder_options.coding = options.coding;
-    builder_options.num_threads = std::max(1, options.threads_per_shard);
-    // Coverage feeds the shard-health record the compactor scores
-    // (DESIGN.md §11); it never changes the output bytes.
-    builder_options.track_coverage = true;
-    RlzArchiveBuilder builder(std::move(dict), builder_options);
-    for (size_t i = begin; i < end; ++i) {
-      builder.AddBorrowedDocument(collection.doc(i));
-    }
-    store->shards_[s] = std::move(builder).Finish(&reports[s]);
+    std::vector<std::string_view> docs;
+    docs.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) docs.push_back(collection.doc(i));
+    store->shards_[s] = store->EncodeShard(
+        DictionaryBuilder::BuildSampled(shard_text, shard_dict_bytes,
+                                        options.sample_bytes),
+        docs, options.threads_per_shard, &store->meta_[s]);
   };
 
   // One pipeline chunk per shard: shards build concurrently and land in
@@ -187,16 +181,11 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
   }
   pipeline.Finish();
 
-  // Health bookkeeping: per-shard stats/coverage plus the store-wide
-  // baseline the staleness trigger compares against.
+  // The store-wide baseline the staleness trigger compares against.
   store->generations_.assign(nshards, 0);
   store->tombstones_.assign(nshards, nullptr);
-  store->meta_.resize(nshards);
   for (size_t s = 0; s < nshards; ++s) {
-    store->meta_[s].stats = reports[s].stats;
-    store->meta_[s].unused_dict_fraction =
-        reports[s].unused_dictionary_fraction;
-    store->baseline_stats_.Merge(reports[s].stats);
+    store->baseline_stats_.Merge(store->meta_[s].stats);
   }
 
   // The append dictionary: sampled across the whole build-time corpus, so
@@ -217,7 +206,6 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
 ShardedStore::~ShardedStore() {
   StopCompactor();
   std::lock_guard<std::mutex> lock(writer_mu_);
-  tail_builder_.reset();  // drains any in-flight tail encode chunks
   if (wal_ != nullptr) {
     // Everything acked was already durable per the group-commit policy;
     // the final sync only narrows a relaxed policy's loss window.
@@ -293,36 +281,38 @@ FactorStats ShardedStore::baseline_stats() const {
 
 // --- Mutation path --------------------------------------------------------
 
-Status ShardedStore::ResetTailBuilderLocked() {
-  if (append_dict_ == nullptr || !append_dict_->has_matcher()) {
-    return Status::InvalidArgument(
-        "sharded store: no append dictionary (v1 manifest or serving-only "
-        "open); appends are disabled");
-  }
+std::shared_ptr<const RlzArchive> ShardedStore::EncodeShard(
+    std::shared_ptr<const Dictionary> dict,
+    const std::vector<std::string_view>& docs, int num_threads,
+    ShardMeta* meta) const {
   ArchiveBuilderOptions builder_options;
   builder_options.coding = options_.coding;
+  builder_options.num_threads = std::max(1, num_threads);
+  // Coverage feeds the shard-health record the compactor scores
+  // (DESIGN.md §11); it never changes the output bytes.
   builder_options.track_coverage = true;
-  builder_options.num_threads = std::max(1, options_.live.tail_builder_threads);
-  tail_builder_ =
-      std::make_unique<RlzArchiveBuilder>(append_dict_, builder_options);
+  RlzArchiveBuilder builder(std::move(dict), builder_options);
+  for (std::string_view doc : docs) builder.AddBorrowedDocument(doc);
+  ArchiveBuildReport report;
+  std::shared_ptr<const RlzArchive> shard = std::move(builder).Finish(&report);
+  meta->stats = report.stats;
+  meta->unused_dict_fraction = report.unused_dictionary_fraction;
+  return shard;
+}
+
+Status ShardedStore::CheckAppendDictionaryLocked() const {
+  if (!append_dict_->has_matcher()) {
+    return Status::InvalidArgument(
+        "sharded store: no append dictionary (serving-only open); appends "
+        "and seals are disabled");
+  }
   return Status::OK();
 }
 
 Status ShardedStore::ApplyAppendLocked(std::string_view doc, size_t* id) {
-  const bool incremental = options_.live.reuse_append_dictionary &&
-                           append_dict_ != nullptr &&
-                           append_dict_->has_matcher();
-  if (incremental && tail_builder_ == nullptr) {
-    RLZ_RETURN_IF_ERROR(ResetTailBuilderLocked());
-  }
-  auto owned = std::make_shared<const std::string>(doc);
-  if (incremental) {
-    // The borrowed bytes stay alive in tail_docs_ until the seal's
-    // Finish() — the zero-copy incremental encode path (DESIGN.md §7).
-    tail_builder_->AddBorrowedDocument(*owned);
-  }
-  tail_bytes_ += owned->size();
-  tail_docs_.push_back(std::move(owned));
+  // The tail stays raw until it seals; ApplySealLocked encodes it.
+  tail_bytes_ += doc.size();
+  tail_docs_.push_back(std::make_shared<const std::string>(doc));
   *id = router_->num_docs() + tail_docs_.size() - 1;
   return Status::OK();
 }
@@ -330,14 +320,8 @@ Status ShardedStore::ApplyAppendLocked(std::string_view doc, size_t* id) {
 StatusOr<size_t> ShardedStore::Append(std::string_view doc) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   RLZ_RETURN_IF_ERROR(CheckWritableLocked());
-  if (append_dict_ == nullptr || !append_dict_->has_matcher()) {
-    // Both seal modes need the matcher-capable append dictionary (the
-    // fresh-dictionary mode as the fallback for an all-deleted seal);
-    // gate up front so Append fails cleanly on serving-only opens.
-    return Status::InvalidArgument(
-        "sharded store: no append dictionary (v1 manifest or serving-only "
-        "open); appends are disabled");
-  }
+  // Gate before logging: a tail this store cannot seal must not grow.
+  RLZ_RETURN_IF_ERROR(CheckAppendDictionaryLocked());
   size_t id = 0;
   RLZ_RETURN_IF_ERROR(ApplyAppendLocked(doc, &id));
   // Log before publish: once the epoch containing this document is
@@ -357,6 +341,7 @@ StatusOr<size_t> ShardedStore::Append(std::string_view doc) {
 Status ShardedStore::SealTail() {
   std::lock_guard<std::mutex> lock(writer_mu_);
   RLZ_RETURN_IF_ERROR(CheckWritableLocked());
+  RLZ_RETURN_IF_ERROR(CheckAppendDictionaryLocked());
   return SealTailLocked();
 }
 
@@ -373,38 +358,16 @@ Status ShardedStore::SealTailLocked() {
 Status ShardedStore::ApplySealLocked() {
   if (tail_docs_.empty()) return Status::OK();
 
-  ArchiveBuildReport report;
-  std::shared_ptr<const RlzArchive> sealed;
-  if (options_.live.reuse_append_dictionary && tail_builder_ != nullptr) {
-    // The incremental path: every Append already encoded through the open
-    // builder, so sealing is a drain + finish.
-    sealed = std::move(*tail_builder_).Finish(&report);
-    tail_builder_.reset();
-  } else {
-    // Fresh-dictionary seal: sample a dictionary from the tail's own
-    // documents and encode them against it.
-    std::string text;
-    text.reserve(tail_bytes_);
-    for (const auto& d : tail_docs_) text.append(*d);
-    std::shared_ptr<const Dictionary> dict = DictionaryBuilder::BuildSampled(
-        text.empty() ? std::string_view(" ") : std::string_view(text),
-        shard_dict_bytes_, options_.sample_bytes);
-    ArchiveBuilderOptions builder_options;
-    builder_options.coding = options_.coding;
-    builder_options.track_coverage = true;
-    builder_options.num_threads =
-        std::max(1, options_.live.tail_builder_threads);
-    RlzArchiveBuilder builder(std::move(dict), builder_options);
-    for (const auto& d : tail_docs_) builder.AddBorrowedDocument(*d);
-    sealed = std::move(builder).Finish(&report);
-  }
-
-  // Health record for the new shard; tail documents deleted before the
-  // seal carry their tombstones (and their now-stored-but-dead encoded
-  // bytes) into the sealed shard.
+  // The tail's one encode (§3.6): every tail document against the
+  // append dictionary, deleted ones included. Tail documents deleted
+  // before the seal carry their tombstones (and their now-stored-but-dead
+  // encoded bytes) into the sealed shard.
+  std::vector<std::string_view> docs;
+  docs.reserve(tail_docs_.size());
+  for (const auto& d : tail_docs_) docs.push_back(*d);
   ShardMeta meta;
-  meta.stats = report.stats;
-  meta.unused_dict_fraction = report.unused_dictionary_fraction;
+  std::shared_ptr<const RlzArchive> sealed =
+      EncodeShard(append_dict_, docs, /*num_threads=*/1, &meta);
   if (tail_tombstones_ != nullptr) {
     for (size_t i = 0; i < tail_tombstones_->size(); ++i) {
       if (tail_tombstones_->Test(i)) {
@@ -606,29 +569,21 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
       sizes[i] = buf.size();
     }
   }
-  std::shared_ptr<const Dictionary> dict = DictionaryBuilder::BuildSampled(
-      text.empty() ? std::string_view(" ") : std::string_view(text),
-      shard_dict_bytes_, options_.sample_bytes);
-  ArchiveBuilderOptions builder_options;
-  builder_options.coding = options_.coding;
-  builder_options.track_coverage = true;
-  builder_options.num_threads = std::max(1, options_.live.compact_threads);
-  RlzArchiveBuilder builder(std::move(dict), builder_options);
+  std::vector<std::string_view> docs(shard_docs);
   size_t offset = 0;
   size_t live_docs = 0;
   for (size_t i = 0; i < shard_docs; ++i) {
-    if (dead != nullptr && i < dead->size() && dead->Test(i)) {
-      builder.AddBorrowedDocument(std::string_view());
-      continue;
-    }
-    builder.AddBorrowedDocument(std::string_view(text).substr(offset,
-                                                              sizes[i]));
+    if (dead != nullptr && i < dead->size() && dead->Test(i)) continue;
+    docs[i] = std::string_view(text).substr(offset, sizes[i]);
     offset += sizes[i];
     ++live_docs;
   }
-  ArchiveBuildReport rebuild_report;
-  std::shared_ptr<const RlzArchive> rebuilt =
-      std::move(builder).Finish(&rebuild_report);
+  ShardMeta rebuilt_meta;
+  std::shared_ptr<const RlzArchive> rebuilt = EncodeShard(
+      DictionaryBuilder::BuildSampled(
+          text.empty() ? std::string_view(" ") : std::string_view(text),
+          shard_dict_bytes_, options_.sample_bytes),
+      docs, /*num_threads=*/1, &rebuilt_meta);
 
   // Swap the rewrite into the next epoch. Deletes that landed on this
   // shard during the rebuild were encoded live above; they stay pending
@@ -641,8 +596,8 @@ StatusOr<CompactionReport> ShardedStore::CompactOnce() {
     generations_[victim] += 1;
     ShardMeta& meta = meta_[victim];
     meta.generation = generations_[victim];
-    meta.stats = rebuild_report.stats;
-    meta.unused_dict_fraction = rebuild_report.unused_dictionary_fraction;
+    meta.stats = rebuilt_meta.stats;
+    meta.unused_dict_fraction = rebuilt_meta.unused_dict_fraction;
     meta.tombstoned_payload_bytes = 0;
     const Bitmap* now_dead = tombstones_[victim].get();
     if (now_dead != nullptr) {
@@ -734,9 +689,7 @@ Status ShardedStore::Save(const std::string& path) const {
     }
     meta = meta_;
     baseline = baseline_stats_;
-    if (append_dict_ != nullptr) {
-      append_dict_text.assign(append_dict_->text());
-    }
+    append_dict_text.assign(append_dict_->text());
   }
 
   std::string dir;
@@ -761,7 +714,7 @@ std::string ShardedStore::SerializeManifest(const CorpusEpoch& snapshot,
                                             const std::string& shard_base) {
   const size_t nshards = static_cast<size_t>(snapshot.num_shards());
   EnvelopeWriter writer(kFormatId, kFormatVersion);
-  // The v1-compatible prefix: shard count, boundaries, shard file names.
+  // The shard layout: count, boundaries, shard file names.
   writer.PutVarint64(nshards);
   for (size_t s = 0; s <= nshards; ++s) {
     writer.PutVarint64(snapshot.router().start(s));
@@ -769,7 +722,7 @@ std::string ShardedStore::SerializeManifest(const CorpusEpoch& snapshot,
   for (size_t s = 0; s < nshards; ++s) {
     writer.PutLengthPrefixed(ShardFileName(shard_base, s));
   }
-  // v2 sections: the epoch and its mutation state.
+  // The epoch and its mutation state.
   writer.PutVarint64(snapshot.sequence());
   for (size_t s = 0; s < nshards; ++s) {
     writer.PutVarint64(snapshot.shard_generation(static_cast<int>(s)));
@@ -796,6 +749,13 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromEnvelope(
     const OpenOptions& options) {
   RLZ_RETURN_IF_ERROR(
       CheckEnvelopeFormat(envelope, kFormatId, kFormatVersion));
+  if (envelope.version() != kFormatVersion) {
+    return Status::InvalidArgument(
+        envelope.context() + ": sharded manifest version " +
+        std::to_string(envelope.version()) +
+        " is not supported (this build reads only version " +
+        std::to_string(kFormatVersion) + ")");
+  }
   EnvelopeReader reader = envelope.reader();
 
   uint64_t nshards = 0;
@@ -831,82 +791,71 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromEnvelope(
     shard_paths[s] = dir + std::string(name);
   }
 
-  // v2 sections: epoch sequence, per-shard health, tombstones, the raw
-  // open tail, and the append dictionary. A v1 manifest is a build-once
-  // snapshot: sequence 0, generation 0, nothing deleted, empty tail, no
-  // append dictionary (appends disabled until rebuilt).
+  // The epoch and its mutation state: sequence, per-shard health,
+  // tombstones, the raw open tail, and the append dictionary.
   store->generations_.assign(nshards, 0);
   store->tombstones_.assign(nshards, nullptr);
   store->meta_.resize(nshards);
-  uint64_t sequence = 0;
-  std::string_view append_dict_text;
-  if (envelope.version() >= 2) {
-    RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&sequence));
-    for (size_t s = 0; s < nshards; ++s) {
-      RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&store->generations_[s]));
-      ShardMeta& meta = store->meta_[s];
-      meta.generation = store->generations_[s];
-      RLZ_RETURN_IF_ERROR(
-          reader.ReadVarint64(&meta.tombstoned_payload_bytes));
-      uint64_t fraction_bits = 0;
-      RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&fraction_bits));
-      meta.unused_dict_fraction = DoubleFromBits(fraction_bits);
-      RLZ_RETURN_IF_ERROR(ReadStats(&reader, &meta.stats));
-    }
-    RLZ_RETURN_IF_ERROR(ReadStats(&reader, &store->baseline_stats_));
-    for (size_t s = 0; s < nshards; ++s) {
-      const size_t shard_docs =
-          store->router_->start(s + 1) - store->router_->start(s);
-      RLZ_RETURN_IF_ERROR(ReadTombstones(&reader, shard_docs,
-                                         envelope.context(),
-                                         &store->tombstones_[s]));
-      if (store->tombstones_[s] != nullptr) {
-        store->deleted_docs_ += store->tombstones_[s]->CountSet();
-      }
-    }
-    uint64_t tail_count = 0;
-    {
-      // The tail tombstone section precedes the tail documents, so its
-      // bitmap bound comes from the doc count read after it; parse the
-      // raw section first and validate once the count is known.
-      std::shared_ptr<const Bitmap> tail_tombstones;
-      // A tail bitmap can never address more docs than bytes remain in
-      // the body (each doc costs at least one length byte).
-      RLZ_RETURN_IF_ERROR(ReadTombstones(&reader, reader.remaining(),
-                                         envelope.context(),
-                                         &tail_tombstones));
-      RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&tail_count));
-      if (tail_count > reader.remaining()) {
-        return Status::Corruption(envelope.context() +
-                                  ": bad manifest tail count");
-      }
-      if (tail_tombstones != nullptr &&
-          tail_tombstones->size() > 0) {
-        // Re-bound the bitmap against the real tail size.
-        uint64_t max_index = 0;
-        for (size_t i = 0; i < tail_tombstones->size(); ++i) {
-          if (tail_tombstones->Test(i)) max_index = i;
-        }
-        if (max_index >= tail_count) {
-          return Status::Corruption(envelope.context() +
-                                    ": tail tombstone out of range");
-        }
-        store->deleted_docs_ += tail_tombstones->CountSet();
-      }
-      store->tail_tombstones_ = std::move(tail_tombstones);
-    }
-    store->tail_docs_.reserve(tail_count);
-    for (uint64_t i = 0; i < tail_count; ++i) {
-      std::string_view doc;
-      RLZ_RETURN_IF_ERROR(reader.ReadLengthPrefixed(&doc));
-      store->tail_docs_.push_back(
-          std::make_shared<const std::string>(doc));
-      store->tail_bytes_ += doc.size();
-    }
-    RLZ_RETURN_IF_ERROR(reader.ReadLengthPrefixed(&append_dict_text));
+  RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&store->next_sequence_));
+  for (size_t s = 0; s < nshards; ++s) {
+    RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&store->generations_[s]));
+    ShardMeta& meta = store->meta_[s];
+    meta.generation = store->generations_[s];
+    RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&meta.tombstoned_payload_bytes));
+    uint64_t fraction_bits = 0;
+    RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&fraction_bits));
+    meta.unused_dict_fraction = DoubleFromBits(fraction_bits);
+    RLZ_RETURN_IF_ERROR(ReadStats(&reader, &meta.stats));
   }
+  RLZ_RETURN_IF_ERROR(ReadStats(&reader, &store->baseline_stats_));
+  for (size_t s = 0; s < nshards; ++s) {
+    const size_t shard_docs =
+        store->router_->start(s + 1) - store->router_->start(s);
+    RLZ_RETURN_IF_ERROR(ReadTombstones(&reader, shard_docs, envelope.context(),
+                                       &store->tombstones_[s]));
+    if (store->tombstones_[s] != nullptr) {
+      store->deleted_docs_ += store->tombstones_[s]->CountSet();
+    }
+  }
+  uint64_t tail_count = 0;
+  {
+    // The tail tombstone section precedes the tail documents, so its
+    // bitmap bound comes from the doc count read after it; parse the
+    // raw section first and validate once the count is known.
+    std::shared_ptr<const Bitmap> tail_tombstones;
+    // A tail bitmap can never address more docs than bytes remain in
+    // the body (each doc costs at least one length byte).
+    RLZ_RETURN_IF_ERROR(ReadTombstones(&reader, reader.remaining(),
+                                       envelope.context(), &tail_tombstones));
+    RLZ_RETURN_IF_ERROR(reader.ReadVarint64(&tail_count));
+    if (tail_count > reader.remaining()) {
+      return Status::Corruption(envelope.context() +
+                                ": bad manifest tail count");
+    }
+    if (tail_tombstones != nullptr && tail_tombstones->size() > 0) {
+      // Re-bound the bitmap against the real tail size.
+      uint64_t max_index = 0;
+      for (size_t i = 0; i < tail_tombstones->size(); ++i) {
+        if (tail_tombstones->Test(i)) max_index = i;
+      }
+      if (max_index >= tail_count) {
+        return Status::Corruption(envelope.context() +
+                                  ": tail tombstone out of range");
+      }
+      store->deleted_docs_ += tail_tombstones->CountSet();
+    }
+    store->tail_tombstones_ = std::move(tail_tombstones);
+  }
+  store->tail_docs_.reserve(tail_count);
+  for (uint64_t i = 0; i < tail_count; ++i) {
+    std::string_view doc;
+    RLZ_RETURN_IF_ERROR(reader.ReadLengthPrefixed(&doc));
+    store->tail_docs_.push_back(std::make_shared<const std::string>(doc));
+    store->tail_bytes_ += doc.size();
+  }
+  std::string_view append_dict_text;
+  RLZ_RETURN_IF_ERROR(reader.ReadLengthPrefixed(&append_dict_text));
   RLZ_RETURN_IF_ERROR(reader.ExpectConsumed());
-  store->next_sequence_ = sequence;
 
   // Shard files open in parallel: each is an independent rlz container,
   // and the suffix-array rebuild (when requested) dominates the open
@@ -951,26 +900,16 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::FromEnvelope(
   }
 
   // Restore the mutation path: the coding comes from shard 0 (every shard
-  // encodes with the same pair), the append dictionary from its persisted
-  // text (matcher-less on a serving-only open — appends then fail
-  // cleanly), and the open tail re-encodes through a fresh builder.
+  // encodes with the same pair) and the append dictionary from its
+  // persisted text (matcher-less on a serving-only open — appends and
+  // seals then fail cleanly). The open tail stays raw until it seals.
   store->options_.coding = store->shards_[0]->coder().coding();
   store->shard_dict_bytes_ =
       std::max<uint64_t>(1, store->shards_[0]->dictionary().size());
-  if (!append_dict_text.empty()) {
-    store->append_dict_ = std::make_shared<const Dictionary>(
-        std::string(append_dict_text), options.build_suffix_array);
-  }
+  store->append_dict_ = std::make_shared<const Dictionary>(
+      std::string(append_dict_text), options.build_suffix_array);
   {
     std::lock_guard<std::mutex> lock(store->writer_mu_);
-    if (!store->tail_docs_.empty() && store->append_dict_ != nullptr &&
-        store->append_dict_->has_matcher() &&
-        store->options_.live.reuse_append_dictionary) {
-      RLZ_RETURN_IF_ERROR(store->ResetTailBuilderLocked());
-      for (const auto& doc : store->tail_docs_) {
-        store->tail_builder_->AddBorrowedDocument(*doc);
-      }
-    }
     store->PublishLocked();
   }
   return store;
@@ -1050,9 +989,7 @@ Status ShardedStore::Checkpoint() {
     }
     meta = meta_;
     baseline = baseline_stats_;
-    if (append_dict_ != nullptr) {
-      append_dict_text.assign(append_dict_->text());
-    }
+    append_dict_text.assign(append_dict_->text());
   }
 
   // Write-new: every file lands under the next generation, fsync'd,
@@ -1168,9 +1105,9 @@ StatusOr<std::unique_ptr<ShardedStore>> ShardedStore::OpenFromCheckpoint(
           return Status::OK();
         }
         case wal::RecordType::kSeal:
-          // Serving-only recovery leaves the tail raw: sealing would
-          // re-encode (and want the suffix array this open skipped).
-          // Document ids and bytes are identical either way.
+          // Serving-only recovery leaves the tail raw: sealing needs the
+          // suffix array this open skipped. Document ids and bytes are
+          // identical either way.
           if (raw_store->read_only_) return Status::OK();
           return raw_store->ApplySealLocked();
       }

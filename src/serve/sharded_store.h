@@ -31,22 +31,17 @@
 
 namespace rlz {
 
-class RlzArchiveBuilder;
-
-/// Mutation-path knobs of a live ShardedStore (DESIGN.md §11).
+/// Mutation-path knobs of a live ShardedStore (DESIGN.md §11). Sealed
+/// tails always encode against the store's append dictionary (the §3.6
+/// dynamic setting); the compaction triggers below decide when a shard
+/// whose dictionary went stale is re-sampled.
 struct LiveStoreOptions {
   /// Raw tail bytes that trigger an automatic seal: once the open tail
   /// segment holds at least this much appended text, the Append that
-  /// crossed the threshold seals it into a new compressed shard before
-  /// returning. 0 disables auto-seal (callers seal explicitly).
+  /// crossed the threshold encodes it into a new compressed shard before
+  /// returning (so that one Append pays the whole-tail encode). 0
+  /// disables auto-seal (callers seal explicitly).
   size_t tail_seal_bytes = 1 << 20;
-  /// Worker threads of the incremental tail encoder (the per-append
-  /// RlzArchiveBuilder). 1 encodes each append synchronously — the §3.6
-  /// dynamic setting, with live factor stats; more workers encode tail
-  /// chunks on the build pipeline in the background.
-  int tail_builder_threads = 1;
-  /// Worker threads for a compaction rebuild.
-  int compact_threads = 1;
   /// Compaction trigger: a shard whose tombstoned-but-still-stored
   /// payload fraction reaches this is tombstone-heavy.
   double compact_tombstone_fraction = 0.25;
@@ -58,11 +53,6 @@ struct LiveStoreOptions {
   /// at least this fraction against the store's build-time baseline
   /// (FactorStats::avg_factor_decay) is stale-dictionary.
   double compact_stale_decay = 0.5;
-  /// When true, sealed tails reuse the store's append dictionary (cheap
-  /// seals, but the dictionary goes stale as content drifts — the §3.6
-  /// setting compaction recovers from). When false, every seal samples a
-  /// fresh dictionary from its own tail documents.
-  bool reuse_append_dictionary = true;
 };
 
 /// Build-time knobs for ShardedStore::Build.
@@ -139,8 +129,8 @@ struct ShardHealth {
 /// Partitions a collection into independent RlzArchive shards behind the
 /// Archive interface — the scale-out unit of the serving layer (DESIGN.md
 /// §6) — and keeps the corpus *live*: documents can be appended (routed
-/// to an open tail segment encoded incrementally through the build
-/// pipeline), deleted (tombstoned), and compacted (a tombstone-heavy or
+/// to a raw open tail segment that is encoded once, when it seals),
+/// deleted (tombstoned), and compacted (a tombstone-heavy or
 /// stale-dictionary shard is rewritten in the background and swapped into
 /// the next epoch).
 ///
@@ -170,8 +160,7 @@ class ShardedStore final : public Archive {
   static std::unique_ptr<ShardedStore> Build(
       const Collection& collection, const ShardedStoreOptions& options = {});
 
-  /// Joins the background compactor (if running) and drains the tail
-  /// encoder.
+  /// Joins the background compactor (if running) and closes the WAL.
   ~ShardedStore() override;
 
   /// The scratch-less convenience overloads stay visible alongside the
@@ -198,13 +187,12 @@ class ShardedStore final : public Archive {
 
   /// Appends one document to the open tail segment and publishes the
   /// epoch that contains it. Returns the new document's permanent id.
-  /// The document is encoded incrementally through the tail's
-  /// RlzArchiveBuilder (synchronously with one tail worker; on the build
-  /// pipeline with more), and its raw bytes serve reads until the tail
-  /// seals. Crossing LiveStoreOptions::tail_seal_bytes seals the tail
-  /// before returning. Thread-safe against concurrent readers and other
-  /// mutators. Fails with InvalidArgument on a store opened without an
-  /// append dictionary (a v1 manifest or a serving-only open).
+  /// The document is stored raw and its bytes serve reads until the tail
+  /// seals; it is encoded then, with the rest of the tail. Crossing
+  /// LiveStoreOptions::tail_seal_bytes seals the tail before returning.
+  /// Thread-safe against concurrent readers and other mutators. Fails
+  /// with InvalidArgument on a serving-only open, whose append dictionary
+  /// has no matcher to seal against.
   StatusOr<size_t> Append(std::string_view doc);
 
   /// Tombstones document `id` and publishes the epoch that hides it:
@@ -219,9 +207,11 @@ class ShardedStore final : public Archive {
   bool IsLive(size_t id) const;
 
   /// Seals the open tail into a new compressed shard (growing the router
-  /// by one range) and publishes the epoch containing it. No-op when the
-  /// tail is empty. Called automatically when an Append crosses
-  /// LiveStoreOptions::tail_seal_bytes.
+  /// by one range) and publishes the epoch containing it: the whole tail
+  /// is encoded against the append dictionary, synchronously under the
+  /// writer lock. No-op when the tail is empty. Called automatically when
+  /// an Append crosses LiveStoreOptions::tail_seal_bytes. Fails with
+  /// InvalidArgument on a serving-only open, like Append.
   Status SealTail();
 
   /// One compaction pass: scores every sealed shard (tombstoned-payload
@@ -296,11 +286,11 @@ class ShardedStore final : public Archive {
 
   /// On-disk format id of the manifest envelope ("sharded").
   static constexpr char kFormatId[] = "sharded";
-  /// Current manifest format version. Version 1 (read-compat) is the
-  /// build-once manifest: boundaries and shard file names only. Version 2
-  /// adds the epoch sequence, per-shard generations and health, tombstone
-  /// sections, the raw open-tail documents, and the append dictionary —
-  /// Save/Open round-trips a live epoch.
+  /// Manifest format version, the only one Open reads: boundaries and
+  /// shard file names, the epoch sequence, per-shard generations and
+  /// health, tombstone sections, the raw open-tail documents, and the
+  /// append dictionary — Save/Open round-trips a live epoch. (Version 1,
+  /// the build-once manifest without mutation state, is rejected.)
   static constexpr uint32_t kFormatVersion = 2;
 
   /// Serializes the current epoch as one file per shard plus a manifest:
@@ -315,14 +305,15 @@ class ShardedStore final : public Archive {
 
   /// Opens a store written by Save: reads the manifest, then loads every
   /// shard file in parallel (options.open_threads workers; by default one
-  /// per shard, capped at the hardware parallelism). A v2 manifest
-  /// restores the full epoch: tombstones, generations, the open tail
-  /// (re-encoded through a fresh tail builder), and the append
-  /// dictionary. A serving-only reopen passes
+  /// per shard, capped at the hardware parallelism), and restores the
+  /// full epoch: tombstones, generations, the raw open tail, and the
+  /// append dictionary. A serving-only reopen passes
   /// OpenOptions::build_suffix_array = false, skips every suffix-array
-  /// rebuild, and disables Append (InvalidArgument). Fails with
-  /// IOError if a shard file named by the manifest is missing, Corruption
-  /// if a shard's document count disagrees with the manifest.
+  /// rebuild, and disables Append and SealTail (InvalidArgument). Fails
+  /// with InvalidArgument on a manifest version other than
+  /// kFormatVersion, IOError if a shard file named by the manifest is
+  /// missing, Corruption if a shard's document count disagrees with the
+  /// manifest.
   static StatusOr<std::unique_ptr<ShardedStore>> Open(
       const std::string& path, const OpenOptions& options = {});
 
@@ -362,13 +353,14 @@ class ShardedStore final : public Archive {
   /// recent complete checkpoint (CURRENT, with a scan fallback when
   /// CURRENT itself is damaged), loads its manifest and shards, replays
   /// the WAL over it — tolerating a torn final segment — and resumes
-  /// logging. A serving-only open (options.build_suffix_array = false)
-  /// skips suffix-array rebuilds, skips re-sealing (WAL'd tail documents
-  /// stay raw), writes nothing, and disables every mutation (read_only()
-  /// becomes true). `fs` non-null routes ALL I/O — checkpoint, shards,
-  /// WAL — through it (the crash-injection tests' hook); otherwise shard
-  /// reads honor options.use_mmap/options.fs and the WAL uses the real
-  /// file system.
+  /// logging. Replayed appends go to the tail raw, as live appends do;
+  /// only a replayed seal record encodes them. A serving-only open
+  /// (options.build_suffix_array = false) skips suffix-array rebuilds,
+  /// skips replayed seals (WAL'd tail documents stay raw), writes
+  /// nothing, and disables every mutation (read_only() becomes true).
+  /// `fs` non-null routes ALL I/O — checkpoint, shards, WAL — through it
+  /// (the crash-injection tests' hook); otherwise shard reads honor
+  /// options.use_mmap/options.fs and the WAL uses the real file system.
   static StatusOr<std::unique_ptr<ShardedStore>> OpenDurable(
       const std::string& dir, const OpenOptions& options = {},
       const wal::WalWriterOptions& wal_options = {},
@@ -409,9 +401,13 @@ class ShardedStore final : public Archive {
   /// Logs (when durable) and seals the open tail into a new shard.
   /// Requires writer_mu_.
   Status SealTailLocked();
-  /// Creates the open-tail builder for the next segment. Requires
-  /// writer_mu_; returns InvalidArgument without an append dictionary.
-  Status ResetTailBuilderLocked();
+  /// Encodes `docs` against `dict` into one shard and fills `meta`'s
+  /// stats and dictionary coverage — the one encode path of Build, the
+  /// tail seal and CompactOnce. Byte-identical for any `num_threads`.
+  std::shared_ptr<const RlzArchive> EncodeShard(
+      std::shared_ptr<const Dictionary> dict,
+      const std::vector<std::string_view>& docs, int num_threads,
+      ShardMeta* meta) const;
 
   // The non-logging mutation cores, shared by the live path (which logs
   // first) and WAL replay (which must not log, publish per record, or
@@ -422,6 +418,10 @@ class ShardedStore final : public Archive {
 
   /// InvalidArgument on a read-only (serving-only durable) open.
   Status CheckWritableLocked() const;
+  /// InvalidArgument without a matcher-capable append dictionary (a
+  /// serving-only open): the gate Append and SealTail share, checked
+  /// before anything is logged.
+  Status CheckAppendDictionaryLocked() const;
   /// Appends one WAL record under the group-commit policy. Requires
   /// writer_mu_ and wal_ != nullptr.
   Status LogLocked(wal::RecordType type, std::string_view payload);
@@ -469,10 +469,11 @@ class ShardedStore final : public Archive {
   uint64_t deleted_docs_ = 0;
   FactorStats baseline_stats_;
   // Per-shard dictionary budget (dict_bytes / initial shard count): the
-  // sample size for fresh-dictionary seals and compaction re-samples.
+  // sample size for compaction re-samples.
   size_t shard_dict_bytes_ = 1 << 20;
-  std::shared_ptr<const Dictionary> append_dict_;  // null: appends disabled
-  std::unique_ptr<RlzArchiveBuilder> tail_builder_;
+  // What every tail seal encodes against; without a matcher (serving-only
+  // open) appends and seals are disabled.
+  std::shared_ptr<const Dictionary> append_dict_;
 
   // Durability state (DESIGN.md §12). wal_ non-null once
   // MakeDurable/OpenDurable attached a log; all guarded by writer_mu_

@@ -7,16 +7,19 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "corpus/generator.h"
+#include "io/file.h"
 #include "serve/corpus_epoch.h"
 #include "serve/doc_service.h"
 #include "serve/sharded_store.h"
@@ -273,13 +276,12 @@ TEST(LiveStoreTest, PinnedReadersDrainAcrossCompactionSwap) {
 
 TEST(LiveStoreTest, StaleDictionarySealTriggersResample) {
   // Build on corpus A, then append *drifted* content (a different seed —
-  // new hosts, new vocabulary) with reuse_append_dictionary: the sealed
-  // tail encodes against A's dictionary and comes out stale (§3.6).
+  // new hosts, new vocabulary): the sealed tail encodes against A's
+  // append dictionary and comes out stale (§3.6).
   const Collection collection = TestCollection(1 << 18, 91);
   ShardedStoreOptions options;
   options.num_shards = 2;
   options.dict_bytes = 1 << 16;
-  options.live.reuse_append_dictionary = true;
   // Only the staleness trigger is armed.
   options.live.compact_tombstone_fraction = 2.0;
   options.live.compact_stale_unused_fraction = 2.0;
@@ -348,7 +350,7 @@ TEST(LiveStoreTest, CompactionOfFullyDeletedShardYieldsEmptyRewrite) {
 }
 
 // ---------------------------------------------------------------------------
-// Persistence (manifest v2 + v1 read-compat)
+// Persistence (manifest v2)
 
 TEST(LiveStoreTest, SaveOpenRoundTripsLiveEpoch) {
   const Collection collection = TestCollection(1 << 18, 111);
@@ -424,6 +426,13 @@ TEST(LiveStoreTest, ServingOnlyOpenDisablesAppends) {
   EXPECT_EQ(doc, "tail doc");
   EXPECT_EQ(reopened->Append("nope").status().code(),
             StatusCode::kInvalidArgument);
+  // Sealing needs the same matcher, so it is gated the same way: the raw
+  // tail stays raw and no shard appears.
+  const int shards = reopened->num_shards();
+  EXPECT_EQ(reopened->SealTail().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(reopened->num_shards(), shards);
+  ASSERT_TRUE(reopened->Get(collection.num_docs(), &doc).ok());
+  EXPECT_EQ(doc, "tail doc");
 
   // Save from a serving-only open still preserves the append dictionary,
   // so a later full open is appendable again.
@@ -434,10 +443,11 @@ TEST(LiveStoreTest, ServingOnlyOpenDisablesAppends) {
   EXPECT_TRUE(full_or.value()->Append("yes").ok());
 }
 
-TEST(LiveStoreTest, ReadsV1ManifestAsFrozenStore) {
+TEST(LiveStoreTest, RejectsV1Manifest) {
   // Write shard files via a v2 Save, then hand-craft the v1 manifest the
   // pre-epoch format produced: shard count, boundaries, names — nothing
-  // else. The store must open frozen: serving works, appends are gated.
+  // else. Only the current manifest version opens; a v1 manifest fails
+  // cleanly even though every shard file it names is valid.
   const Collection collection = TestCollection(1 << 17, 131);
   auto store = SmallLiveStore(collection);
   const std::string path = TempPath("live_v1_compat.sharded");
@@ -457,15 +467,8 @@ TEST(LiveStoreTest, ReadsV1ManifestAsFrozenStore) {
   ASSERT_TRUE(std::move(writer).WriteTo(path).ok());
 
   auto reopened_or = ShardedStore::Open(path);
-  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
-  auto reopened = std::move(reopened_or).value();
-  EXPECT_EQ(reopened->num_docs(), collection.num_docs());
-  EXPECT_EQ(reopened->epoch_sequence(), 0u);
-  std::string doc;
-  ASSERT_TRUE(reopened->Get(1, &doc).ok());
-  EXPECT_EQ(doc, collection.doc(1));
-  EXPECT_EQ(reopened->Append("frozen").status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(reopened_or.ok());
+  EXPECT_EQ(reopened_or.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(LiveStoreTest, SealedTailTombstonesSurviveManifestRoundTrip) {
@@ -497,6 +500,65 @@ TEST(LiveStoreTest, SealedTailTombstonesSurviveManifestRoundTrip) {
   EXPECT_EQ(doc, "tail doc 1");
   ASSERT_TRUE(reopened->Get(base + 2, &doc).ok());
   EXPECT_EQ(doc, "tail doc 2");
+}
+
+// 64-bit FNV-1a of a whole file. (A plain CRC32 would not do: every
+// saved file ends in its own CRC32 trailer, so the CRC of the whole file
+// is the same constant residue for all of them.)
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+TEST(LiveStoreTest, SealedBytesArePinned) {
+  // A fixed base and batch through a fixed script — a tail delete, two
+  // seals, a raw tail left open — then a checksum of every saved file.
+  // The constants were recorded by running this same case at commit
+  // b726b9e, where every Append was encoded on arrival by a builder kept
+  // open across the tail. Encoding the whole tail once at seal time must
+  // reproduce those shards, stats, coverage and manifest exactly.
+  const Collection collection = TestCollection(1 << 17, 171);
+  auto store = SmallLiveStore(collection);
+  const size_t base = store->num_docs();
+  const Collection batch = TestCollection(1 << 17, 172);
+  ASSERT_GE(batch.num_docs(), 6u);
+  const size_t third = batch.num_docs() / 3;
+  size_t i = 0;
+  for (; i < third; ++i) ASSERT_TRUE(store->Append(batch.doc(i)).ok());
+  ASSERT_TRUE(store->Delete(base + 1).ok());
+  ASSERT_TRUE(store->SealTail().ok());
+  for (; i < 2 * third; ++i) ASSERT_TRUE(store->Append(batch.doc(i)).ok());
+  ASSERT_TRUE(store->SealTail().ok());
+  for (; i < batch.num_docs(); ++i) {
+    ASSERT_TRUE(store->Append(batch.doc(i)).ok());
+  }
+  ASSERT_EQ(store->num_shards(), 4);
+
+  const std::string path = TempPath("live_pinned.sharded");
+  ASSERT_TRUE(store->Save(path).ok());
+  const struct {
+    const char* suffix;
+    uint64_t fnv;
+  } kPinned[] = {
+      {".shard0000", 0x48bdf2661393559eull},
+      {".shard0001", 0xca40cbdd93256c25ull},
+      {".shard0002", 0x946091502dff7699ull},
+      {".shard0003", 0x36e7b49f49983669ull},
+      {"", 0x4dc34b980c3ef698ull},
+  };
+  for (const auto& file : kPinned) {
+    auto bytes = ReadFile(path + file.suffix);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    const uint64_t actual = Fnv1a64(*bytes);
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "0x%016llx",
+                  static_cast<unsigned long long>(actual));
+    EXPECT_EQ(actual, file.fnv) << "manifest" << file.suffix << " " << hex;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -558,6 +620,35 @@ TEST(LiveStoreTest, PlainSaveOpenStoresStayNonDurable) {
   ASSERT_TRUE(
       durable_or.value()->Get(collection.num_docs(), &doc).ok());
   EXPECT_EQ(doc, "still live");
+}
+
+TEST(LiveStoreTest, EmptyBaseSealsAgainItsEmptyDictionaryAfterRecovery) {
+  // A store built from no documents has an empty append dictionary. Its
+  // checkpoint persists that empty text, and recovery must restore it as
+  // a dictionary (not as "no dictionary"): replaying the logged seal and
+  // appending afterwards both need it.
+  const std::string dir = TempPath("live_empty_base_dir");
+  std::filesystem::remove_all(dir);
+  {
+    auto store = SmallLiveStore(Collection());
+    ASSERT_TRUE(store->MakeDurable(dir).ok());
+    ASSERT_TRUE(store->Append("sealed into the first shard").ok());
+    ASSERT_TRUE(store->SealTail().ok());
+    ASSERT_TRUE(store->Append("left in the tail").ok());
+  }
+  auto reopened_or = ShardedStore::OpenDurable(dir);
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  auto reopened = std::move(reopened_or).value();
+  EXPECT_EQ(reopened->num_shards(), 2);
+  std::string doc;
+  ASSERT_TRUE(reopened->Get(0, &doc).ok());
+  EXPECT_EQ(doc, "sealed into the first shard");
+  ASSERT_TRUE(reopened->Get(1, &doc).ok());
+  EXPECT_EQ(doc, "left in the tail");
+  ASSERT_TRUE(reopened->Append("appended after recovery").ok());
+  ASSERT_TRUE(reopened->SealTail().ok());
+  ASSERT_TRUE(reopened->Get(2, &doc).ok());
+  EXPECT_EQ(doc, "appended after recovery");
 }
 
 // ---------------------------------------------------------------------------
