@@ -10,6 +10,9 @@
 //             time (one core + one spindle per worker). This is the same
 //             simulated-wall-time doctrine as Tables 4-9 (DESIGN.md §4)
 //             and is what EXPERIMENTS.md quotes for thread scaling.
+//             Cache hits are answered at admission by the submitting
+//             thread (DESIGN.md §14), which is charged as one more lane,
+//             so the cached rows model the submitter, not a worker.
 //
 // A restart-cost table follows the sweep: every container format is saved
 // to disk, reopened cold through OpenArchive, and timed (open latency plus

@@ -274,35 +274,42 @@ void DocService::SubmitBatchImpl(View view, size_t count, ServeBatch* batch) {
   const bool overloaded =
       watermark_us != 0 && EstimatedQueueDelayUs() > watermark_us;
   // One routing snapshot per submission: every id in this batch routes
-  // against the same epoch's boundaries. kRejectedRoute marks positions
-  // completed at admission (shed or already expired) that must not be
+  // against the same epoch's boundaries. kAnsweredRoute marks positions
+  // completed at admission (expired, shed or resident) that must not be
   // staged.
-  constexpr uint32_t kRejectedRoute = ~uint32_t{0};
+  constexpr uint32_t kAnsweredRoute = ~uint32_t{0};
   const std::shared_ptr<const ShardRouter> router = RouterSnapshot();
   std::vector<uint32_t>& routes = batch->routes_;
   routes.resize(count);
+  // One thread-CPU reading pair brackets the admission pass; it is
+  // charged to the resident lane when the pass answered any hit.
+  const bool caching = cache_.capacity_bytes() > 0;
+  const double cpu_start = caching ? ThreadCpuSeconds() : 0.0;
+  uint64_t resident = 0;
   for (size_t i = 0; i < count; ++i) {
     const BatchItem item = view[i];
+    routes[i] = kAnsweredRoute;
     if (item.deadline_ns != 0 && now_ns >= item.deadline_ns) {
       expired_.fetch_add(1, std::memory_order_relaxed);
       batch->results_[i].status =
           Status::DeadlineExceeded("deadline passed before admission");
-      batch->CountDown();
-      FinishOne();
-      routes[i] = kRejectedRoute;
-      continue;
-    }
-    if (overloaded && item.priority == RequestPriority::kBestEffort) {
+    } else if (overloaded && item.priority == RequestPriority::kBestEffort) {
       shed_.fetch_add(1, std::memory_order_relaxed);
       batch->results_[i].status =
           Status::Unavailable("overloaded: best-effort request shed");
-      batch->CountDown();
-      FinishOne();
-      routes[i] = kRejectedRoute;
+    } else if (caching &&
+               ServeResident(item, /*count_miss=*/false,
+                             &batch->results_[i])) {
+      ++resident;
+      resident_lane_.latency.Record(NowNs() - now_ns);
+    } else {
+      routes[i] = static_cast<uint32_t>(WorkerOf(item.id, router.get()));
       continue;
     }
-    routes[i] = static_cast<uint32_t>(WorkerOf(item.id, router.get()));
+    batch->CountDown();
+    FinishOne();
   }
+  if (resident > 0) ChargeResident(resident, cpu_start);
   // One staging pass per destination: the whole per-worker group is
   // enqueued under a single lock acquisition of that worker's queue.
   std::vector<ServeRequest>& stage = batch->stage_;
@@ -348,43 +355,82 @@ void DocService::SubmitBatchImpl(View view, size_t count, ServeBatch* batch) {
 }
 
 std::future<GetResult> DocService::Get(size_t id) {
-  auto* promise = new std::promise<GetResult>();
-  std::future<GetResult> future = promise->get_future();
-  if (!Accept(1)) {
-    GetResult rejected;
-    rejected.status = Status::Unavailable("stopping");
-    promise->set_value(std::move(rejected));
-    delete promise;
-    return future;
-  }
-  ServeRequest request;
-  request.id = id;
-  request.enqueue_ns = NowNs();
-  request.promise = promise;
-  PushWithBackpressure(request, WorkerOf(id, RouterSnapshot().get()));
-  return future;
+  BatchItem item;
+  item.id = id;
+  return SubmitOne(item);
 }
 
 std::future<GetResult> DocService::GetRange(size_t id, size_t offset,
                                             size_t length) {
-  auto* promise = new std::promise<GetResult>();
-  std::future<GetResult> future = promise->get_future();
+  BatchItem item;
+  item.id = id;
+  item.offset = offset;
+  item.length = length;
+  item.is_range = true;
+  return SubmitOne(item);
+}
+
+std::future<GetResult> DocService::SubmitOne(const BatchItem& item) {
+  std::promise<GetResult> direct;
+  std::future<GetResult> future = direct.get_future();
   if (!Accept(1)) {
     GetResult rejected;
     rejected.status = Status::Unavailable("stopping");
-    promise->set_value(std::move(rejected));
-    delete promise;
+    direct.set_value(std::move(rejected));
     return future;
   }
+  // The same admission step as SubmitBatch (a single request carries no
+  // deadline and is never best-effort, so only the resident check
+  // applies): a hit completes here, on the calling thread.
+  const uint64_t now_ns = NowNs();
+  if (cache_.capacity_bytes() > 0) {
+    const double cpu_start = ThreadCpuSeconds();
+    GetResult result;
+    if (ServeResident(item, /*count_miss=*/false, &result)) {
+      resident_lane_.latency.Record(NowNs() - now_ns);
+      ChargeResident(1, cpu_start);
+      direct.set_value(std::move(result));
+      FinishOne();
+      return future;
+    }
+  }
   ServeRequest request;
-  request.id = id;
-  request.offset = offset;
-  request.length = length;
-  request.is_range = true;
-  request.enqueue_ns = NowNs();
-  request.promise = promise;
-  PushWithBackpressure(request, WorkerOf(id, RouterSnapshot().get()));
+  request.id = item.id;
+  request.offset = item.offset;
+  request.length = item.length;
+  request.is_range = item.is_range;
+  request.enqueue_ns = now_ns;
+  request.promise = new std::promise<GetResult>(std::move(direct));
+  PushWithBackpressure(request, WorkerOf(item.id, RouterSnapshot().get()));
   return future;
+}
+
+bool DocService::ServeResident(const BatchItem& item, bool count_miss,
+                               GetResult* out) {
+  std::shared_ptr<const std::string> doc = cache_.Get(item.id, count_miss);
+  if (doc == nullptr) return false;
+  out->status = Status::OK();
+  if (!item.is_range) {
+    out->text = std::move(doc);
+    return true;
+  }
+  // A resident full document serves any range without touching the
+  // archive (no disk charge: the cache is memory-resident by
+  // construction).
+  std::string slice;
+  if (item.offset < doc->size()) {
+    slice.assign(*doc, item.offset,
+                 std::min(item.length, doc->size() - item.offset));
+  }
+  out->text = std::make_shared<const std::string>(std::move(slice));
+  return true;
+}
+
+void DocService::ChargeResident(uint64_t requests, double cpu_start) {
+  const double cpu_seconds = ThreadCpuSeconds() - cpu_start;
+  resident_lane_.requests.fetch_add(requests, std::memory_order_relaxed);
+  resident_lane_.cpu_ns.fetch_add(static_cast<uint64_t>(cpu_seconds * 1e9),
+                                  std::memory_order_relaxed);
 }
 
 std::vector<GetResult> DocService::MultiGet(const std::vector<size_t>& ids) {
@@ -498,24 +544,26 @@ void DocService::FinishOne() {
 
 GetResult DocService::DoGet(size_t id, Worker* worker) {
   GetResult result;
-  result.text = cache_.Get(id);
-  if (result.text == nullptr) {
-    // Decode runs lock-free: disk and scratch are worker-owned, and cache
-    // admission below synchronizes only inside the cache's own stripe.
-    std::string doc;
-    result.status = archive_->Get(id, &doc, &worker->disk, &worker->scratch);
-    if (result.status.ok()) {
-      result.text = cache_.Insert(id, std::move(doc));
-      // Close the decode-then-insert race against Delete: the decode ran
-      // against an epoch pinned before the tombstone published, and the
-      // eviction callback may already have fired (finding nothing to
-      // erase) before the Insert above landed. Re-checking liveness after
-      // the insert guarantees no tombstoned id stays cached once Delete
-      // has returned. The caller still gets the bytes — its request
-      // raced the delete and won under snapshot isolation.
-      if (live_store_ != nullptr && !live_store_->IsLive(id)) {
-        cache_.Erase(id);
-      }
+  // Looked up again: the document may have entered the cache since
+  // admission missed it.
+  BatchItem item;
+  item.id = id;
+  if (ServeResident(item, /*count_miss=*/true, &result)) return result;
+  // Decode runs lock-free: disk and scratch are worker-owned, and cache
+  // admission below synchronizes only inside the cache's own stripe.
+  std::string doc;
+  result.status = archive_->Get(id, &doc, &worker->disk, &worker->scratch);
+  if (result.status.ok()) {
+    result.text = cache_.Insert(id, std::move(doc));
+    // Close the decode-then-insert race against Delete: the decode ran
+    // against an epoch pinned before the tombstone published, and the
+    // eviction callback may already have fired (finding nothing to
+    // erase) before the Insert above landed. Re-checking liveness after
+    // the insert guarantees no tombstoned id stays cached once Delete
+    // has returned. The caller still gets the bytes — its request
+    // raced the delete and won under snapshot isolation.
+    if (live_store_ != nullptr && !live_store_->IsLive(id)) {
+      cache_.Erase(id);
     }
   }
   return result;
@@ -524,21 +572,19 @@ GetResult DocService::DoGet(size_t id, Worker* worker) {
 GetResult DocService::DoGetRange(size_t id, size_t offset, size_t length,
                                  Worker* worker) {
   GetResult result;
-  // A resident full document serves any range without touching the archive
-  // (no disk charge: the cache is memory-resident by construction).
-  if (std::shared_ptr<const std::string> doc = cache_.Get(id)) {
-    std::string slice;
-    if (offset < doc->size()) {
-      slice.assign(*doc, offset, std::min(length, doc->size() - offset));
-    }
+  BatchItem item;
+  item.id = id;
+  item.offset = offset;
+  item.length = length;
+  item.is_range = true;
+  if (ServeResident(item, /*count_miss=*/true, &result)) return result;
+  // Not resident: the archive's partial decode, which does not populate
+  // the cache.
+  std::string slice;
+  result.status = archive_->GetRange(id, offset, length, &slice,
+                                     &worker->disk, &worker->scratch);
+  if (result.status.ok()) {
     result.text = std::make_shared<const std::string>(std::move(slice));
-  } else {
-    std::string slice;
-    result.status = archive_->GetRange(id, offset, length, &slice,
-                                       &worker->disk, &worker->scratch);
-    if (result.status.ok()) {
-      result.text = std::make_shared<const std::string>(std::move(slice));
-    }
   }
   return result;
 }
@@ -567,7 +613,15 @@ ServiceStats DocService::Stats() const {
   stats.queued = queued_.load(std::memory_order_relaxed);
   stats.shed = shed_.load(std::memory_order_relaxed);
   stats.expired = expired_.load(std::memory_order_relaxed);
+  // The resident lane: hits answered at admission, on the submitting
+  // threads, modeled as one more core (it has no disk).
   LatencyHistogram::Snapshot latency;
+  resident_lane_.latency.AddTo(&latency);
+  stats.requests = resident_lane_.requests.load(std::memory_order_relaxed);
+  stats.cpu_seconds =
+      1e-9 * static_cast<double>(
+                 resident_lane_.cpu_ns.load(std::memory_order_relaxed));
+  stats.critical_path_seconds = stats.cpu_seconds;
   for (const auto& worker : workers_) {
     stats.requests += worker->requests.load(std::memory_order_relaxed);
     stats.failures += worker->failures.load(std::memory_order_relaxed);

@@ -97,11 +97,13 @@ struct GetResult {
 /// atomics, so reading them never blocks serving (counters are internally
 /// consistent per worker but requests may land between worker snapshots).
 struct ServiceStats {
-  /// Requests executed (Get + MultiGet elements + GetRange).
+  /// Requests executed (Get + MultiGet elements + GetRange), whether a
+  /// worker served them or admission answered them from the cache.
   uint64_t requests = 0;
   /// Requests that returned a non-OK status.
   uint64_t failures = 0;
-  /// Requests a worker popped from another worker's queue.
+  /// Requests a worker popped from another worker's queue. Only cache
+  /// misses are queued, so resident reads never count here.
   uint64_t steals = 0;
   /// Best-effort requests shed at admission (watermark crossed or class
   /// rings full); each completed immediately with Unavailable.
@@ -121,13 +123,19 @@ struct ServiceStats {
   uint64_t disk_bytes = 0;
   /// Seeks charged to the per-worker SimDisks.
   uint64_t disk_seeks = 0;
-  /// Thread CPU time consumed by workers while executing requests.
+  /// Thread CPU time spent serving requests: by workers while executing
+  /// them, plus by submitting threads on admission passes that answered
+  /// cache hits (one reading pair per pass, so a mixed batch also charges
+  /// its misses' routing there).
   double cpu_seconds = 0.0;
-  /// Modeled service makespan: the busiest worker's CPU + simulated-disk
-  /// time. docs/sec against this is the throughput of a machine with one
-  /// core and one spindle per worker — the same simulated-wall-time
-  /// doctrine as the paper benches (DESIGN.md §4, §6), so the number is
-  /// meaningful even on a single-core CI host.
+  /// Modeled service makespan: the busiest lane's CPU + simulated-disk
+  /// time, where each worker is a lane and the admission-served hits are
+  /// one more (the submitters as one core, no disk). docs/sec against
+  /// this is the throughput of a machine with one core and one spindle
+  /// per worker — the same simulated-wall-time doctrine as the paper
+  /// benches (DESIGN.md §4, §6), so the number is meaningful even on a
+  /// single-core CI host. On a mostly-cached load the resident lane
+  /// dominates, so the figure models the submitter, not a worker.
   double critical_path_seconds = 0.0;
   /// Request latency (enqueue to completion, microseconds): median.
   double latency_p50_us = 0.0;
@@ -238,14 +246,15 @@ class ServeBatch {
 /// entirely. Clients may call Get/MultiGet/GetRange/SubmitBatch from any
 /// number of threads.
 ///
-/// Concurrency skeleton: every worker owns a bounded request queue;
-/// submission routes each request to the worker affine to its shard (via
-/// the archive's ShardRouter when it has one) and enqueues a whole
-/// batch's worth per queue under one lock. Idle workers steal from peers,
-/// so skewed traffic cannot strand work behind one queue. Workers decode
-/// without holding any lock — the scratch and SimDisk are worker-owned,
-/// counters are atomics, and cache admission happens outside any critical
-/// section — so Stats() never stalls serving.
+/// Concurrency skeleton: admission answers resident documents from the
+/// decode cache on the submitting thread; every worker owns a bounded
+/// request queue; submission routes each miss to the worker affine to its
+/// shard (via the archive's ShardRouter when it has one) and enqueues a
+/// whole batch's worth per queue under one lock. Idle workers steal from
+/// peers, so skewed traffic cannot strand work behind one queue. Workers
+/// decode without holding any lock — the scratch and SimDisk are
+/// worker-owned, counters are atomics, and cache admission happens outside
+/// any critical section — so Stats() never stalls serving.
 class DocService {
  public:
   /// Starts the worker pool in front of `archive` (not owned; must be
@@ -264,9 +273,10 @@ class DocService {
   /// Not assignable: owns threads and per-worker accounting.
   DocService& operator=(const DocService&) = delete;
 
-  /// Asynchronously retrieves one document. Convenience path: allocates
-  /// a promise per call; throughput-sensitive callers should batch
-  /// through SubmitBatch instead.
+  /// Asynchronously retrieves one document. A resident document is
+  /// answered at admission, on the calling thread, so the future is ready
+  /// on return. Convenience path: allocates a promise per miss;
+  /// throughput-sensitive callers should batch through SubmitBatch.
   std::future<GetResult> Get(size_t id);
 
   /// Retrieves a batch, blocking until every result is ready. Results are
@@ -276,16 +286,21 @@ class DocService {
 
   /// Asynchronously retrieves bytes [offset, offset+length) of a document
   /// (the snippet path). Served from the decode cache when the whole
-  /// document is resident; otherwise uses the archive's partial decode and
-  /// does not populate the cache.
+  /// document is resident — at admission, like Get; otherwise uses the
+  /// archive's partial decode and does not populate the cache.
   std::future<GetResult> GetRange(size_t id, size_t offset, size_t length);
 
-  /// Batched submission (the steady-state serving path): routes each id
-  /// to its shard-affine worker queue, enqueueing per-queue groups under
-  /// one lock each, and arms `batch` to collect results positionally.
-  /// Returns once everything is enqueued (blocking only when every queue
-  /// is full — backpressure — and never for a batch with a completion
-  /// hook); call batch->Wait() for completion. A reused
+  /// Batched submission (the steady-state serving path). Admission runs
+  /// per id in a fixed order (DESIGN.md §14): an expired id completes
+  /// kDeadlineExceeded, a best-effort id past the watermark is shed, a
+  /// resident id is answered from the decode cache on the calling
+  /// thread, and only the rest are routed to their shard-affine worker
+  /// queues, per-queue groups enqueued under one lock each. Results land
+  /// in `batch` positionally. Returns once everything is enqueued
+  /// (blocking only when every queue is full — backpressure — and never
+  /// for a batch with a completion hook); call batch->Wait() for
+  /// completion. When every id was answered at admission the batch is
+  /// done() on return and its hook has run on the calling thread. A reused
   /// batch re-submits with zero allocations once its buffers are warm.
   /// After Shutdown(), every request completes immediately with
   /// Unavailable.
@@ -377,6 +392,20 @@ class DocService {
   /// thread — and so does any class when `may_block` is false.
   bool PushWithBackpressure(const ServeRequest& request, int dest,
                             bool may_block = true);
+  /// The one cache-serving routine, for admission and for the workers'
+  /// re-check (a document can enter the cache between admission and
+  /// pop): when `item.id` is resident, fills `out` — the cached document
+  /// itself for a whole-document request, a copy of its slice for a range
+  /// — and returns true. Admission passes `count_miss` false, as its miss
+  /// is looked up again by the worker, so each request counts in the
+  /// cache stats once.
+  bool ServeResident(const BatchItem& item, bool count_miss, GetResult* out);
+  /// Accounts `requests` hits answered at admission, charging the thread
+  /// CPU since `cpu_start` to the resident lane.
+  void ChargeResident(uint64_t requests, double cpu_start);
+  /// The single-request entry points (Get/GetRange): the admission step,
+  /// then a promise-carrying enqueue on a miss.
+  std::future<GetResult> SubmitOne(const BatchItem& item);
   /// Completes an admitted-then-rejected request (shed or expired) with
   /// `status`, off the worker path: delivers to its promise or
   /// batch slot and runs FinishOne().
@@ -406,6 +435,15 @@ class DocService {
   const ShardedStore* live_store_ = nullptr;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::unique_ptr<BoundedRequestQueue>> queues_;
+  // Hits answered at admission, on whichever thread submitted them
+  // (DESIGN.md §14): accounted like a worker's requests, but with no
+  // steals, no disk and no EWMA sample — the queue-delay estimate models
+  // queued decode work, which a hit never is.
+  struct ResidentLane {
+    std::atomic<uint64_t> requests{0};
+    std::atomic<uint64_t> cpu_ns{0};
+    LatencyHistogram latency;
+  } resident_lane_;
 
   std::atomic<uint64_t> in_flight_{0};  // accepted, not yet completed
   std::atomic<uint64_t> queued_{0};     // enqueued, not yet popped

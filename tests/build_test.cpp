@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "build/archive_builder.h"
@@ -283,9 +285,13 @@ std::vector<NamedCollection> TestCollections() {
 }
 
 // Serializes an archive and returns the exact file bytes — the strongest
-// possible identity check (payload, document map, dictionary, CRC).
+// possible identity check (payload, document map, dictionary, CRC). The
+// path carries the process id: ctest runs each parameterized case as its
+// own process, in parallel, and a shared name let one case delete
+// another's file between its Save and its read.
 std::string ArchiveBytes(const RlzArchive& archive, const std::string& tag) {
-  const std::string path = ::testing::TempDir() + "/build_test_" + tag;
+  const std::string path = ::testing::TempDir() + "/build_test_" +
+                           std::to_string(::getpid()) + "_" + tag;
   EXPECT_TRUE(archive.Save(path).ok());
   auto bytes = ReadFile(path);
   EXPECT_TRUE(bytes.ok());

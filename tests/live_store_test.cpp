@@ -662,15 +662,32 @@ TEST(LiveStoreTest, ServiceInvalidatesCacheOnDelete) {
   DocService service(store.get(), options);
 
   // Warm the cache, then delete: the eviction hook must erase the entry
-  // and subsequent requests must see NotFound, not stale cached bytes.
+  // and subsequent requests must see NotFound, not stale cached bytes —
+  // on every entry point, since admission answers resident ids itself.
   const size_t victim = 1;
   GetResult warm = service.Get(victim).get();
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(*warm.text, collection.doc(victim));
+  ASSERT_TRUE(service.Get(victim).get().ok());  // a hit at admission
+  const uint64_t hits = service.Stats().cache.hits;
+  ASSERT_GE(hits, 1u);
   ASSERT_TRUE(store->Delete(victim).ok());
   EXPECT_GE(service.Stats().cache.erased, 1u);
   GetResult after = service.Get(victim).get();
   EXPECT_EQ(after.status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(service.GetRange(victim, 0, 10).get().status.code(),
+            StatusCode::kNotFound);
+  std::vector<BatchItem> items(2);
+  items[0].id = victim;
+  items[1].id = victim;
+  items[1].is_range = true;
+  items[1].length = 10;
+  ServeBatch batch;
+  service.SubmitBatch(items.data(), items.size(), &batch);
+  for (const GetResult& result : batch.Wait()) {
+    EXPECT_EQ(result.status.code(), StatusCode::kNotFound);
+  }
+  EXPECT_EQ(service.Stats().cache.hits, hits);
 
   // Appended documents are servable through the same service without any
   // reconstruction — the router snapshot refreshes per submission.

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "corpus/generator.h"
+#include "latched_archive.h"
 #include "net/doc_server.h"
 #include "net/net_client.h"
 #include "net/protocol.h"
@@ -921,75 +922,20 @@ TEST(NetClientTest, HungServerSurfacesDeadlineExceeded) {
 // on a worker, so a request stuck in decode holds up only the responses
 // behind it on its own connection.
 
-constexpr size_t kBlockedId = 0;
-
-// An archive whose decodes of one id block until the test opens the
-// latch: it pins DocService workers so requests stay in flight on cue.
-class LatchedArchive : public Archive {
- public:
-  explicit LatchedArchive(const Archive* base) : base_(base) {}
-
-  using Archive::Get;
-  using Archive::GetRange;
-  std::string name() const override { return base_->name(); }
-  size_t num_docs() const override { return base_->num_docs(); }
-  uint64_t stored_bytes() const override { return base_->stored_bytes(); }
-  Status Save(const std::string&) const override {
-    return Status::Unimplemented("latched test archive");
-  }
-  Status Get(size_t id, std::string* doc, SimDisk* disk,
-             DecodeScratch* scratch) const override {
-    Hold(id);
-    return base_->Get(id, doc, disk, scratch);
-  }
-  Status GetRange(size_t id, size_t offset, size_t length, std::string* text,
-                  SimDisk* disk, DecodeScratch* scratch) const override {
-    Hold(id);
-    return base_->GetRange(id, offset, length, text, disk, scratch);
-  }
-
-  // Lets every held and future decode of the blocked id through.
-  void Open() {
-    std::lock_guard<std::mutex> lock(mu_);
-    open_ = true;
-    cv_.notify_all();
-  }
-
-  // Waits (up to 10 s) until `n` decodes of the blocked id are held.
-  bool WaitHeld(int n) {
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, std::chrono::seconds(10),
-                        [&] { return held_ >= n; });
-  }
-
- private:
-  void Hold(size_t id) const {
-    if (id != kBlockedId) return;
-    std::unique_lock<std::mutex> lock(mu_);
-    ++held_;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return open_; });
-  }
-
-  const Archive* base_;
-  mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  mutable int held_ = 0;
-  mutable bool open_ = false;
-};
-
-// A server over a LatchedArchive with two uncached workers. Teardown
-// opens the latch first, so a failing test never hangs the drain.
+// A server over a LatchedArchive with two workers, uncached unless given
+// a cache size. Teardown opens the latch first, so a failing test never
+// hangs the drain.
 class LatchedHarness {
  public:
-  explicit LatchedHarness(DocServiceOptions service_options = {})
+  explicit LatchedHarness(DocServiceOptions service_options = {},
+                          uint64_t cache_bytes = 0)
       : collection_(TestCollection(1 << 18, 12)) {
     ShardedStoreOptions store_options;
     store_options.num_shards = 2;
     store_ = ShardedStore::Build(collection_, store_options);
     archive_ = std::make_unique<LatchedArchive>(store_.get());
     service_options.num_threads = 2;
-    service_options.cache_bytes = 0;
+    service_options.cache_bytes = cache_bytes;
     service_ = std::make_unique<DocService>(archive_.get(), service_options);
     server_ = std::make_unique<DocServer>(service_.get());
     const Status started = server_->Start();
@@ -1056,6 +1002,34 @@ TEST(DocServerTest, BlockedDecodeHoldsUpOnlyItsOwnConnection) {
   ASSERT_TRUE(held.ok()) << held.status().ToString();
   ASSERT_TRUE(held->ok());
   EXPECT_EQ(held->payload, harness.collection().doc(kBlockedId));
+}
+
+TEST(DocServerTest, ResidentReadIsAnsweredWhileEveryWorkerIsPinned) {
+  LatchedHarness harness({}, /*cache_bytes=*/8 << 20);
+  constexpr uint64_t kWarmId = 1;
+  auto stuck = harness.Connect();
+  auto reader = harness.Connect(Bounded());
+  // Warm one document (a whole-document Get populates the cache)...
+  auto warm = reader->Get(kWarmId);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  // ...then pin both workers on decodes of the blocked id.
+  stuck->SendGet(kBlockedId);
+  stuck->SendGet(kBlockedId);
+  ASSERT_TRUE(stuck->Flush().ok());
+  ASSERT_TRUE(harness.archive().WaitHeld(2));
+  // A read of the resident document is answered at admission, on the
+  // loop thread: it never waits for a worker (queued behind the pinned
+  // pair it would hit the 3 s client deadline).
+  auto slice = reader->GetRange(kWarmId, 5, 40);
+  ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+  EXPECT_EQ(*slice, harness.collection().doc(kWarmId).substr(5, 40));
+  harness.archive().Open();
+  for (int i = 0; i < 2; ++i) {
+    auto held = stuck->Receive();
+    ASSERT_TRUE(held.ok()) << held.status().ToString();
+    ASSERT_TRUE(held->ok());
+    EXPECT_EQ(held->payload, harness.collection().doc(kBlockedId));
+  }
 }
 
 TEST(DocServerTest, FullQueuesNeverStallTheLoop) {

@@ -15,6 +15,7 @@
 
 #include "corpus/generator.h"
 #include "io/sim_disk.h"
+#include "latched_archive.h"
 #include "serve/doc_service.h"
 #include "serve/sharded_store.h"
 #include "store/blocked_archive.h"
@@ -468,6 +469,121 @@ TEST(DocServiceTest, ExpiredDeadlineCompletesWithoutDecoding) {
   GetResult good = service.Get(0).get();
   ASSERT_TRUE(good.ok());
   EXPECT_EQ(*good.text, collection.doc(0));
+}
+
+// ---------------------------------------------------------------------------
+// Resident reads at admission (DESIGN.md §14): a cache hit completes on the
+// submitting thread; only misses are queued.
+
+TEST(DocServiceTest, ResidentIdsCompleteAtAdmissionOnTheSubmittingThread) {
+  const Collection collection = TestCollection(1 << 18, 89);
+  ShardedStoreOptions store_options;
+  store_options.num_shards = 4;
+  auto store = ShardedStore::Build(collection, store_options);
+  DocServiceOptions options;
+  options.num_threads = 4;
+  options.cache_bytes = 32 << 20;  // everything fits
+  DocService service(store.get(), options);
+  std::vector<size_t> warm(collection.num_docs());
+  for (size_t i = 0; i < warm.size(); ++i) warm[i] = i;
+  service.MultiGet(warm);  // every document is now resident
+  service.Drain();
+  const ServiceStats before = service.Stats();
+
+  // Mixed whole-document and range items, all resident.
+  std::vector<BatchItem> items;
+  for (size_t id = 0; id < warm.size(); ++id) {
+    BatchItem item;
+    item.id = id;
+    item.is_range = id % 2 == 1;
+    item.offset = 3;
+    item.length = 50;
+    items.push_back(item);
+  }
+  std::thread::id hook_thread;
+  ServeBatch batch;
+  batch.set_on_ready([&] { hook_thread = std::this_thread::get_id(); });
+  constexpr int kRounds = 20;
+  for (int round = 0; round < kRounds; ++round) {
+    service.SubmitBatch(items.data(), items.size(), &batch);
+    // Done on return, with the hook run here: no worker took part.
+    ASSERT_TRUE(batch.done());
+    EXPECT_EQ(hook_thread, std::this_thread::get_id());
+    hook_thread = std::thread::id();
+    const std::vector<GetResult>& results = batch.results();
+    for (size_t i = 0; i < items.size(); ++i) {
+      ASSERT_TRUE(results[i].ok()) << results[i].status.ToString();
+      const std::string_view doc = collection.doc(items[i].id);
+      EXPECT_EQ(*results[i].text,
+                items[i].is_range ? doc.substr(3, 50) : doc);
+    }
+  }
+  // A whole-document hit shares the cached copy.
+  EXPECT_EQ(batch.results()[0].text.get(),
+            service.Get(0).get().text.get());
+
+  const ServiceStats after = service.Stats();
+  const uint64_t served = kRounds * items.size() + 1;
+  EXPECT_EQ(after.requests, before.requests + served);
+  EXPECT_EQ(after.failures, 0u);
+  EXPECT_EQ(after.steals, before.steals);  // nothing was queued to steal
+  EXPECT_EQ(after.cache.hits, before.cache.hits + served);
+  EXPECT_EQ(after.cache.misses, before.cache.misses);
+  EXPECT_EQ(after.disk_bytes, before.disk_bytes);
+  EXPECT_GT(after.cpu_seconds, before.cpu_seconds);  // the hits' CPU
+  EXPECT_LE(after.critical_path_seconds,
+            after.cpu_seconds + after.disk_seconds + 1e-9);
+}
+
+TEST(DocServiceTest, AdmissionRunsExpiryAndShedBeforeTheCache) {
+  const Collection collection = TestCollection(1 << 18, 90);
+  auto store = ShardedStore::Build(collection, {});
+  LatchedArchive archive(store.get());
+  DocServiceOptions options;
+  options.num_threads = 1;
+  options.cache_bytes = 32 << 20;
+  options.shed_queue_delay_us = 1;  // any backlog is overload
+  DocService service(&archive, options);
+  ServeBatch backlog_batch;
+  ServeBatch batch;
+  // Declared after the batches, so it opens the latch before their
+  // destructors wait: a failing assertion never hangs the test.
+  const struct OpenOnExit {
+    LatchedArchive* archive;
+    ~OpenOnExit() { archive->Open(); }
+  } open_on_exit{&archive};
+  constexpr size_t kWarmId = kBlockedId + 1;
+  ASSERT_TRUE(service.Get(kWarmId).get().ok());  // resident; EWMA warm
+
+  // Pin the lone worker on the blocked id and queue misses behind it.
+  std::vector<size_t> backlog = {kBlockedId};
+  for (size_t id = kWarmId + 1;
+       id < collection.num_docs() && backlog.size() < 64; ++id) {
+    backlog.push_back(id);
+  }
+  service.SubmitBatch(backlog, &backlog_batch);
+  ASSERT_TRUE(archive.WaitHeld(1));
+  ASSERT_GT(service.EstimatedQueueDelayUs(), options.shed_queue_delay_us);
+
+  // Every item names the resident id; admission order decides.
+  std::vector<BatchItem> items(3);
+  for (BatchItem& item : items) item.id = kWarmId;
+  items[0].deadline_ns = 1;  // long expired
+  items[1].priority = RequestPriority::kBestEffort;
+  service.SubmitBatch(items.data(), items.size(), &batch);
+  ASSERT_TRUE(batch.done());  // nothing waited for the pinned worker
+  EXPECT_EQ(batch.results()[0].status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(batch.results()[1].status.code(), StatusCode::kUnavailable);
+  ASSERT_TRUE(batch.results()[2].ok());
+  EXPECT_EQ(*batch.results()[2].text, collection.doc(kWarmId));
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.expired, 1u);
+  EXPECT_EQ(stats.shed, 1u);
+
+  archive.Open();
+  for (const GetResult& result : backlog_batch.Wait()) {
+    ASSERT_TRUE(result.ok()) << result.status.ToString();
+  }
 }
 
 TEST(DocServiceTest, RetryAfterHintStaysBounded) {
