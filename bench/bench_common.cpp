@@ -1,8 +1,12 @@
 #include "bench_common.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <thread>
 
 #include "core/rlz.h"
 #include "search/inverted_index.h"
@@ -53,6 +57,70 @@ const Corpus& WikiCrawl() {
     return new Corpus(GenerateCorpus(options));
   }();
   return *corpus;
+}
+
+namespace {
+
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+std::string GitHead() {
+  std::string head;
+  if (FILE* pipe = popen("git rev-parse HEAD 2>/dev/null", "r")) {
+    char buf[64];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) head += buf;
+    pclose(pipe);
+  }
+  while (!head.empty() && (head.back() == '\n' || head.back() == '\r')) {
+    head.pop_back();
+  }
+  return head.empty() ? "unknown" : head;
+}
+
+// Escapes the characters JSON strings cannot hold raw.
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) >= 0x20) {
+      out += c;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+std::string ProvenanceJson(const std::string& commit) {
+  char host[256] = {};
+  gethostname(host, sizeof(host) - 1);
+#ifdef __clang__
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#else
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#endif
+#ifdef NDEBUG
+  const char* build = "optimized (NDEBUG)";
+#else
+  const char* build = "assertions on";
+#endif
+  return "{\"host\": \"" + JsonEscape(host) + "\", \"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu_model\": \"" + JsonEscape(CpuModel()) +
+         "\", \"compiler\": \"" + JsonEscape(compiler) +
+         "\", \"build\": \"" + build + "\", \"commit\": \"" +
+         JsonEscape(commit.empty() ? GitHead() : commit) + "\"}";
 }
 
 AccessPatterns MakePatterns(const Corpus& corpus) {

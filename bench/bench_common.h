@@ -70,6 +70,12 @@ Measurement MeasureArchive(const Archive& archive,
                            const Collection& collection,
                            const AccessPatterns& patterns);
 
+/// A JSON object recording where a bench result was measured: host name,
+/// online CPUs (nproc), CPU model, compiler, build type and commit.
+/// `commit` is stamped as given; an empty one is read from
+/// `git rev-parse HEAD` in the working directory, or "unknown".
+std::string ProvenanceJson(const std::string& commit);
+
 /// Table-row printing helpers (fixed-width, paper-like).
 void PrintTableTitle(const std::string& title, const Collection& collection);
 void PrintRlzHeader();

@@ -13,21 +13,28 @@
 //             serving configuration (zero decode-side allocations).
 //
 // All three run over the same per-document encoded factor streams, so the
-// comparison isolates the decode kernel. The bench also reports factorize
-// throughput and single-/multi-threaded serving throughput through
-// DocService (cache off, so every request decodes). Results are printed
-// and written as machine-readable JSON (default BENCH_hot_path.json in
-// the working directory) so the repo's perf trajectory is recorded and
-// regression-gated.
+// comparison isolates the decode kernel. The range rows then time, for
+// each of the paper's four pairs, a cache-miss decode (reused scratch, no
+// decode cache) of a random 400-byte window, of the first 400 bytes, and
+// of the whole document, over the same documents. The bench also reports
+// factorize throughput and single-/multi-threaded serving throughput
+// through DocService (cache off, so every request decodes). Results are
+// printed and written as machine-readable JSON (default
+// BENCH_hot_path.json in the working directory, stamped with host, nproc,
+// CPU model, compiler and commit) so the repo's perf trajectory is
+// recorded and regression-gated.
 //
 //   ./build/bench/hot_path_bench                full run
-//   ./build/bench/hot_path_bench --smoke       small corpus + gate: on
-//         the UV pair (where decode is allocation-bound; ZV is
-//         entropy-coder-bound and reported ungated) the scratch path
-//         must beat the fresh-allocation (legacy) baseline by
-//         kSmokeMinRatio on decode MB/s, else exit 1 (run by the
-//         perf-smoke CI job)
+//   ./build/bench/hot_path_bench --smoke       small corpus + two gates,
+//         exit 1 if either fails (run by the perf-smoke CI job):
+//         on the UV pair (where decode is allocation-bound; ZV is
+//         entropy-coder-bound) the scratch path must beat the
+//         fresh-allocation (legacy) baseline by kSmokeMinRatio on decode
+//         MB/s, and a ZV random-window decode must cost at most
+//         kMaxRangeToWholeRatio of a whole-document decode (p50)
 //   ./build/bench/hot_path_bench --out FILE    JSON destination
+//   ./build/bench/hot_path_bench --commit SHA  commit to stamp (default:
+//         git rev-parse HEAD in the working directory)
 
 #include <algorithm>
 #include <cstdint>
@@ -45,7 +52,9 @@
 #include "corpus/generator.h"
 #include "io/file.h"
 #include "serve/doc_service.h"
+#include "bench_common.h"
 #include "util/logging.h"
+#include "util/random.h"
 #include "util/timer.h"
 
 namespace rlz {
@@ -59,6 +68,15 @@ namespace {
 // decode is dominated by the gzipx entropy coder (which both paths share)
 // and is reported ungated.
 constexpr double kSmokeMinRatio = 1.5;
+
+// The range gate: on ZV, the p50 cache-miss decode of a random 400-byte
+// window must cost at most this fraction of the p50 whole-document decode
+// of the same documents — a range read pays only for its range
+// (DESIGN.md §9).
+constexpr double kMaxRangeToWholeRatio = 0.7;
+
+// Window length of the range rows (perfbench's snippet size).
+constexpr size_t kRangeBytes = 400;
 
 // Faithful replica of the pre-scratch FactorCoder::DecodeDoc: decode the
 // factor streams with fresh per-call buffers (DecodeFactors), then expand
@@ -173,6 +191,68 @@ ServeResult RunServePass(const Archive& archive, size_t num_requests,
   return result;
 }
 
+enum class Window { kWhole, kRandom, kFirst };
+
+struct LatencyResult {
+  double p50_us = 0.0;
+  double p99_us = 0.0;
+};
+
+// Times one cache-miss decode per document per repeat — the whole
+// document, a random kRangeBytes window, or the first kRangeBytes — with
+// a reused scratch, and returns p50/p99 over every sample. The random
+// windows come from a fixed seed, so every pair decodes the same windows.
+// Every result is byte-compared against the source collection.
+LatencyResult RunWindowPass(const FactorCoder& coder, const Dictionary& dict,
+                            const std::vector<std::string>& encoded,
+                            const Collection& collection, Window window,
+                            int repeats) {
+  const size_t n = encoded.size();
+  std::vector<size_t> offsets(n, 0);
+  if (window == Window::kRandom) {
+    Rng rng(0x5eed400);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t size = collection.doc_size(i);
+      offsets[i] = size > kRangeBytes ? rng.Uniform(size - kRangeBytes + 1)
+                                      : 0;
+    }
+  }
+  DecodeScratch scratch;
+  std::vector<double> latencies_us;
+  latencies_us.reserve(n * repeats);
+  for (int r = 0; r < repeats; ++r) {
+    for (size_t i = 0; i < n; ++i) {
+      std::string out;  // serving allocates the output per request
+      Timer one;
+      const Status status =
+          window == Window::kWhole
+              ? coder.DecodeDoc(encoded[i], dict, &out, &scratch)
+              : coder.DecodeRange(encoded[i], dict, offsets[i], kRangeBytes,
+                                  &out, &scratch);
+      latencies_us.push_back(1e6 * one.ElapsedSeconds());
+      RLZ_CHECK(status.ok()) << status.ToString();
+      const std::string_view doc = collection.doc(i);
+      RLZ_CHECK(out == (window == Window::kWhole
+                            ? doc
+                            : doc.substr(offsets[i], kRangeBytes)))
+          << "window decode mismatch at doc " << i;
+    }
+  }
+  std::sort(latencies_us.begin(), latencies_us.end());
+  const size_t m = latencies_us.size();
+  return LatencyResult{latencies_us[m / 2],
+                       latencies_us[std::min(m - 1, m * 99 / 100)]};
+}
+
+void AppendJsonLatency(const char* name, const LatencyResult& r,
+                       std::string* out) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "\"%s\": {\"p50_us\": %.2f, \"p99_us\": %.2f}", name,
+                r.p50_us, r.p99_us);
+  out->append(buf);
+}
+
 void AppendJsonDecode(const char* name, const DecodeResult& r,
                       std::string* out) {
   char buf[256];
@@ -183,7 +263,8 @@ void AppendJsonDecode(const char* name, const DecodeResult& r,
   out->append(buf);
 }
 
-void Run(bool smoke, const std::string& out_path) {
+bool Run(bool smoke, const std::string& out_path,
+         const std::string& commit) {
   CorpusOptions corpus_options;
   corpus_options.target_bytes = smoke ? (4u << 20) : (16u << 20);
   corpus_options.seed = 20110613;
@@ -214,6 +295,7 @@ void Run(bool smoke, const std::string& out_path) {
   std::string json;
   json.append("{\n  \"bench\": \"hot_path\",\n");
   json.append(smoke ? "  \"mode\": \"smoke\",\n" : "  \"mode\": \"full\",\n");
+  json.append("  \"provenance\": " + ProvenanceJson(commit) + ",\n");
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "  \"corpus\": {\"docs\": %zu, \"bytes\": %llu, "
@@ -298,6 +380,47 @@ void Run(bool smoke, const std::string& out_path) {
   }
   json.append("  },\n");
 
+  // Range rows: every paper pair, cache-miss decode of a random window,
+  // the first window, and the whole document, over the same documents.
+  double range_gate_ratio = 0.0;  // ZV random / whole, gated
+  std::printf("\n%-7s %12s %12s %12s %12s %12s %9s   (%zu B windows)\n",
+              "coding", "whole p50", "random p50", "random p99", "first p50",
+              "first p99", "rnd/whole", kRangeBytes);
+  json.append("  \"range\": {\n");
+  std::snprintf(buf, sizeof(buf), "    \"window_bytes\": %zu,\n",
+                kRangeBytes);
+  json.append(buf);
+  const PairCoding paper_pairs[] = {kZZ, kZV, kUZ, kUV};
+  for (size_t c = 0; c < 4; ++c) {
+    const FactorCoder coder(paper_pairs[c]);
+    std::vector<std::string> encoded(collection.num_docs());
+    for (size_t i = 0; i < collection.num_docs(); ++i) {
+      RLZ_CHECK(coder.EncodeDoc(docs[i], &encoded[i]).ok());
+    }
+    const LatencyResult whole = RunWindowPass(
+        coder, *dict, encoded, collection, Window::kWhole, repeats);
+    const LatencyResult random = RunWindowPass(
+        coder, *dict, encoded, collection, Window::kRandom, repeats);
+    const LatencyResult first = RunWindowPass(
+        coder, *dict, encoded, collection, Window::kFirst, repeats);
+    const double ratio = random.p50_us / whole.p50_us;
+    const std::string name = coder.coding().name();
+    std::printf("%-7s %12.2f %12.2f %12.2f %12.2f %12.2f %9.2f\n",
+                name.c_str(), whole.p50_us, random.p50_us, random.p99_us,
+                first.p50_us, first.p99_us, ratio);
+    json.append("    \"" + name + "\": {");
+    AppendJsonLatency("whole", whole, &json);
+    json.append(", ");
+    AppendJsonLatency("random", random, &json);
+    json.append(", ");
+    AppendJsonLatency("first", first, &json);
+    std::snprintf(buf, sizeof(buf), ", \"random_to_whole\": %.3f}%s\n",
+                  ratio, c + 1 < 4 ? "," : "");
+    json.append(buf);
+    if (name == "ZV") range_gate_ratio = ratio;
+  }
+  json.append("  },\n");
+
   // Serving throughput: DocService over an rlz-ZV archive, cache off, so
   // every request runs the per-worker-scratch decode.
   const auto archive = RlzArchive::BuildFromFactors(dict, docs, kZV);
@@ -324,19 +447,30 @@ void Run(bool smoke, const std::string& out_path) {
   std::snprintf(buf, sizeof(buf),
                 "  \"gate\": {\"coding\": \"UV\", "
                 "\"min_ratio_required\": %.2f, "
-                "\"scratch_vs_legacy\": %.2f, \"pass\": %s}\n}\n",
+                "\"scratch_vs_legacy\": %.2f, \"pass\": %s},\n",
                 kSmokeMinRatio, gate_ratio, gate_pass ? "true" : "false");
+  json.append(buf);
+  const bool range_gate_pass = range_gate_ratio <= kMaxRangeToWholeRatio;
+  std::snprintf(buf, sizeof(buf),
+                "  \"range_gate\": {\"coding\": \"ZV\", "
+                "\"max_random_to_whole\": %.2f, "
+                "\"random_to_whole\": %.3f, \"pass\": %s}\n}\n",
+                kMaxRangeToWholeRatio, range_gate_ratio,
+                range_gate_pass ? "true" : "false");
   json.append(buf);
 
   const Status write_status = WriteFile(out_path, json);
   RLZ_CHECK(write_status.ok()) << write_status.ToString();
   std::printf("\nwrote %s\n", out_path.c_str());
 
-  if (smoke) {
-    std::printf("smoke gate: UV scratch >= %.2fx legacy: %s (%.2fx)\n",
-                kSmokeMinRatio, gate_pass ? "PASS" : "FAIL", gate_ratio);
-    if (!gate_pass) std::exit(1);
-  }
+  if (!smoke) return true;
+  std::printf("smoke gate: UV scratch >= %.2fx legacy: %s (%.2fx)\n",
+              kSmokeMinRatio, gate_pass ? "PASS" : "FAIL", gate_ratio);
+  std::printf("smoke gate: ZV random %zu B window <= %.2fx whole document "
+              "(p50): %s (%.3fx)\n",
+              kRangeBytes, kMaxRangeToWholeRatio,
+              range_gate_pass ? "PASS" : "FAIL", range_gate_ratio);
+  return gate_pass && range_gate_pass;
 }
 
 }  // namespace
@@ -346,16 +480,20 @@ void Run(bool smoke, const std::string& out_path) {
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string out_path = "BENCH_hot_path.json";
+  std::string commit;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--commit") == 0 && i + 1 < argc) {
+      commit = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--out FILE]\n", argv[0]);
+      std::fprintf(stderr,
+                   "usage: %s [--smoke] [--out FILE] [--commit SHA]\n",
+                   argv[0]);
       return 2;
     }
   }
-  rlz::bench::Run(smoke, out_path);
-  return 0;
+  return rlz::bench::Run(smoke, out_path, commit) ? 0 : 1;
 }

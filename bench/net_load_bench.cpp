@@ -35,7 +35,9 @@
 // under 1 ms — rejection must be cheaper than service), and accepted
 // high-priority p99 stays within 2x the unsaturated p99 measured on the
 // same server without the flood (overload must not leak into the classes
-// admission protects).
+// admission protects). The p99 gate reads the median of
+// kOverloadRepeats ratios, each repeat measured against its own
+// unsaturated basis: one p99 of a short run is too noisy to gate alone.
 //
 //   ./build/bench/net_load_bench              full sweep
 //   ./build/bench/net_load_bench --smoke      small corpus, gated subset
@@ -89,6 +91,8 @@ constexpr size_t kPageDocs = 4;
 constexpr double kMaxShedP50Us = 1000.0;
 constexpr double kMaxOverloadP99Ratio = 2.0;
 constexpr double kOverloadBasisFloorUs = 500.0;
+// Overload repeats; both overload gates read medians over them.
+constexpr int kOverloadRepeats = 5;
 
 enum class Shape { kSnippet, kBulk };
 
@@ -309,7 +313,7 @@ void FloodBestEffort(uint16_t port, size_t num_docs, size_t depth,
   }
 }
 
-// One overload run's numbers (best of kGateRepeats by accepted p99).
+// One overload repeat's numbers.
 struct OverloadPhase {
   double unsat_p50_us = 0.0;
   double unsat_p99_us = 0.0;
@@ -321,6 +325,11 @@ struct OverloadPhase {
   uint64_t accepted = 0;
   uint64_t sheds = 0;
   uint64_t flood_served = 0;
+
+  // Accepted p99 over this repeat's own unsaturated basis (floored).
+  double p99_ratio() const {
+    return accepted_p99_us / std::max(unsat_p99_us, kOverloadBasisFloorUs);
+  }
 };
 
 // The overload phase (DESIGN.md §14): a dedicated overload-tuned server
@@ -329,9 +338,10 @@ struct OverloadPhase {
 // loads at once: a 4-connection depth-16 best-effort flood that sheds
 // by construction, and paced high-priority clients measuring accepted
 // latency. The unsaturated baseline is the same paced load on the same
-// server without the flood.
-OverloadPhase RunOverload(ShardedStore* store, size_t num_docs,
-                          bool smoke) {
+// server without the flood, measured afresh before each of the
+// kOverloadRepeats repeats returned.
+std::vector<OverloadPhase> RunOverload(ShardedStore* store, size_t num_docs,
+                                       bool smoke) {
   DocServiceOptions service_options;
   service_options.num_threads = 1;
   service_options.queue_depth = 64;
@@ -359,8 +369,8 @@ OverloadPhase RunOverload(ShardedStore* store, size_t num_docs,
   const int flood_conns = 4;
   const size_t flood_depth = 16;
 
-  OverloadPhase best;
-  for (int rep = 0; rep < kGateRepeats; ++rep) {
+  std::vector<OverloadPhase> repeats;
+  for (int rep = 0; rep < kOverloadRepeats; ++rep) {
     OverloadPhase r;
     std::vector<double> unsat =
         RunPacedHigh(server.port(), num_docs, measured_conns,
@@ -402,11 +412,17 @@ OverloadPhase RunOverload(ShardedStore* store, size_t num_docs,
     RLZ_CHECK(r.sheds > 0) << "overload phase produced no sheds";
     r.shed_p50_us = PercentileUs(shed_merged, 0.50);
     r.shed_p99_us = PercentileUs(shed_merged, 0.99);
-    if (rep == 0 || r.accepted_p99_us < best.accepted_p99_us) best = r;
+    repeats.push_back(r);
   }
   server.Shutdown();
   service.Shutdown();
-  return best;
+  return repeats;
+}
+
+// The median of `values` (an odd count picks the middle one).
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 int Run(bool smoke, bool overload, const std::string& out_path) {
@@ -542,30 +558,47 @@ int Run(bool smoke, bool overload, const std::string& out_path) {
 
   bool overload_pass = true;
   if (overload) {
-    const OverloadPhase o = RunOverload(store.get(), num_docs, smoke);
+    std::vector<OverloadPhase> repeats =
+        RunOverload(store.get(), num_docs, smoke);
+    std::vector<double> shed_p50s;
+    for (const OverloadPhase& r : repeats) shed_p50s.push_back(r.shed_p50_us);
+    const double shed_p50 = Median(shed_p50s);
+    std::string ratios_json;
+    for (const OverloadPhase& r : repeats) {
+      std::snprintf(buf, sizeof(buf), "%s%.2f",
+                    ratios_json.empty() ? "" : ", ", r.p99_ratio());
+      ratios_json += buf;
+    }
+    // The repeat with the median p99 ratio is the one printed and gated.
+    std::sort(repeats.begin(), repeats.end(),
+              [](const OverloadPhase& a, const OverloadPhase& b) {
+                return a.p99_ratio() < b.p99_ratio();
+              });
+    const OverloadPhase& o = repeats[repeats.size() / 2];
     const double basis = std::max(o.unsat_p99_us, kOverloadBasisFloorUs);
-    const double p99_ratio = o.accepted_p99_us / basis;
-    const bool shed_pass = o.shed_p50_us < kMaxShedP50Us;
-    const bool p99_pass = o.accepted_p99_us <= kMaxOverloadP99Ratio * basis;
+    const double p99_ratio = o.p99_ratio();
+    const bool shed_pass = shed_p50 < kMaxShedP50Us;
+    const bool p99_pass = p99_ratio <= kMaxOverloadP99Ratio;
     overload_pass = shed_pass && p99_pass;
     std::printf(
         "overload: 4x16 best-effort flood (budget 4/conn) vs 2x depth-1 "
-        "high\n"
+        "high, median-ratio repeat of %d\n"
         "  unsaturated  p50 %8.1f us  p99 %8.1f us  (%llu requests)\n"
         "  accepted     p50 %8.1f us  p99 %8.1f us  (%llu requests)\n"
         "  shed         p50 %8.1f us  p99 %8.1f us  (%llu sheds, %llu "
         "flood served)\n",
-        o.unsat_p50_us, o.unsat_p99_us,
+        kOverloadRepeats, o.unsat_p50_us, o.unsat_p99_us,
         static_cast<unsigned long long>(o.unsat_requests), o.accepted_p50_us,
         o.accepted_p99_us, static_cast<unsigned long long>(o.accepted),
         o.shed_p50_us, o.shed_p99_us,
         static_cast<unsigned long long>(o.sheds),
         static_cast<unsigned long long>(o.flood_served));
     std::printf(
-        "overload gate: shed p50 < %.0f us: %s (%.1f us); accepted p99 <= "
-        "%.1fx basis %.1f us: %s (%.2fx)\n",
-        kMaxShedP50Us, shed_pass ? "PASS" : "FAIL", o.shed_p50_us,
-        kMaxOverloadP99Ratio, basis, p99_pass ? "PASS" : "FAIL", p99_ratio);
+        "overload gate: median shed p50 < %.0f us: %s (%.1f us); median "
+        "accepted p99 <= %.1fx its basis: %s (%.2fx; all: %s)\n",
+        kMaxShedP50Us, shed_pass ? "PASS" : "FAIL", shed_p50,
+        kMaxOverloadP99Ratio, p99_pass ? "PASS" : "FAIL", p99_ratio,
+        ratios_json.c_str());
     std::snprintf(
         buf, sizeof(buf),
         "  \"overload\": {\"unsat_p50_us\": %.1f, \"unsat_p99_us\": %.1f, "
@@ -579,14 +612,17 @@ int Run(bool smoke, bool overload, const std::string& out_path) {
         buf, sizeof(buf),
         "    \"shed_p50_us\": %.1f, \"shed_p99_us\": %.1f, \"sheds\": %llu, "
         "\"flood_served\": %llu, \"max_shed_p50_us\": %.0f, "
+        "\"median_shed_p50_us\": %.1f, "
         "\"max_p99_ratio\": %.1f, \"p99_basis_us\": %.1f, "
-        "\"p99_ratio\": %.2f, \"pass\": %s},\n",
+        "\"p99_ratio\": %.2f, \"pass\": %s,\n",
         o.shed_p50_us, o.shed_p99_us,
         static_cast<unsigned long long>(o.sheds),
         static_cast<unsigned long long>(o.flood_served), kMaxShedP50Us,
-        kMaxOverloadP99Ratio, basis, p99_ratio,
+        shed_p50, kMaxOverloadP99Ratio, basis, p99_ratio,
         overload_pass ? "true" : "false");
     json.append(buf);
+    json.append("    \"repeats\": " + std::to_string(kOverloadRepeats) +
+                ", \"p99_ratios\": [" + ratios_json + "]},\n");
   }
 
   const double ratio = gate_shallow.wall_rps > 0

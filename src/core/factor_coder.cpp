@@ -43,6 +43,69 @@ Status ReadZStream(std::string_view in, size_t* pos, std::string* buffer,
   return Status::OK();
 }
 
+// Reads the vbyte length at `*lp`, bounded by `end`; false if it is
+// truncated or longer than five bytes (a bool, not a Status, keeps the
+// scan free of per-factor Status objects).
+inline bool NextLengthChecked(const uint8_t** lp, const uint8_t* end,
+                              uint32_t* len) {
+  const uint8_t* p = *lp;
+  if (p >= end) return false;
+  uint32_t v = *p++;
+  if (v >= 0x80) {
+    v &= 0x7F;
+    int shift = 7;
+    for (;;) {
+      if (p >= end || shift > 28) return false;
+      const uint32_t byte = *p++;
+      v |= (byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) break;
+      shift += 7;
+    }
+  }
+  *lp = p;
+  *len = v;
+  return true;
+}
+
+Status BadLength() {
+  return Status::Corruption("factor coder: bad vbyte length");
+}
+
+// Reads the vbyte length at `*lp`, already validated by NextLengthChecked.
+inline uint32_t NextLength(const uint8_t** lp) {
+  const uint8_t* p = *lp;
+  uint32_t len = *p++;
+  if (len >= 0x80) {
+    len &= 0x7F;
+    int shift = 7;
+    for (;;) {
+      const uint32_t byte = *p++;
+      len |= (byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) break;
+      shift += 7;
+    }
+  }
+  *lp = p;
+  return len;
+}
+
+// Reads the little-endian 32-bit position at `*pp`.
+inline uint32_t NextPosition(const uint8_t** pp) {
+  const uint8_t* p = *pp;
+  *pp = p + 4;
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
+
+// One past the last byte of the window [offset, offset + length),
+// saturating so an open-ended length cannot wrap.
+uint64_t WindowEnd(size_t offset, size_t length) {
+  return length > ~uint64_t{0} - offset ? ~uint64_t{0}
+                                        : static_cast<uint64_t>(offset) +
+                                              length;
+}
+
 }  // namespace
 
 std::string PairCoding::name() const {
@@ -289,6 +352,9 @@ Status FactorCoder::DecodeRange(std::string_view in, const Dictionary& dict,
                                 size_t offset, size_t length,
                                 std::string* text,
                                 DecodeScratch* scratch) const {
+  if (IsPaperPair()) {
+    return DecodeRangeFused(in, dict, offset, length, text, scratch);
+  }
   std::vector<uint32_t> local_positions;
   std::vector<uint32_t> local_lengths;
   std::vector<uint32_t>* positions =
@@ -298,7 +364,7 @@ Status FactorCoder::DecodeRange(std::string_view in, const Dictionary& dict,
   RLZ_RETURN_IF_ERROR(DecodeStreams(in, positions, lengths, nullptr, scratch));
 
   const std::string_view d = dict.text();
-  const size_t end = offset + length;
+  const uint64_t end = WindowEnd(offset, length);
   const size_t n = positions->size();
   const uint32_t* ps = positions->data();
   const uint32_t* ls = lengths->data();
@@ -476,15 +542,171 @@ Status FactorCoder::DecodeDocFused(std::string_view in,
   return Status::OK();
 }
 
+Status FactorCoder::DecodeRangeFused(std::string_view in,
+                                     const Dictionary& dict, size_t offset,
+                                     size_t length, std::string* text,
+                                     DecodeScratch* scratch) const {
+  size_t pos = 0;
+  uint32_t count = 0;
+  RLZ_RETURN_IF_ERROR(VByteCodec::Get(in, &pos, &count));
+  // Same plausibility bound as DecodeStreams.
+  if (static_cast<uint64_t>(count) > in.size() * 4096ull + 64) {
+    return Status::Corruption("factor coder: implausible factor count");
+  }
+
+  std::string local_inflate;
+  std::string local_inflate2;
+  GzipxDecodeScratch* gz = scratch != nullptr ? &scratch->gzipx : nullptr;
+
+  // The position stream is only located here: count little-endian 32-bit
+  // words, raw in the stream (U), or a length-prefixed z-stream over them
+  // (Z) that is skipped now and inflated below only as far as the window
+  // reaches.
+  std::string_view pstream;
+  if (coding_.pos == PosCoding::kU32) {
+    const uint64_t need = 4ull * count;
+    if (need > in.size() - pos) {
+      return Status::Corruption("u32 stream truncated");
+    }
+    pstream = in.substr(pos, need);
+    pos += need;
+  } else {
+    uint32_t zsize = 0;
+    RLZ_RETURN_IF_ERROR(VByteCodec::Get(in, &pos, &zsize));
+    if (zsize > in.size() - pos) {
+      return Status::Corruption("factor coder: truncated z-stream");
+    }
+    pstream = in.substr(pos, zsize);
+    pos += zsize;
+  }
+
+  // Length bytes: a vbyte stream, raw (V) or inflated whole (Z).
+  std::string_view lbytes;
+  if (coding_.len == LenCoding::kVByte) {
+    lbytes = in.substr(pos);
+  } else {
+    std::string* buf =
+        scratch != nullptr ? &scratch->inflate2 : &local_inflate2;
+    RLZ_RETURN_IF_ERROR(ReadZStream(in, &pos, buf, gz));
+    lbytes = *buf;
+  }
+
+  // Pass 1: scan the vbyte lengths only up to the window end (a zero
+  // length is a one-byte literal), validating each one scanned, to find
+  // the factors [first, last) the window touches. Lengths past the
+  // window stay unread.
+  const uint64_t end = WindowEnd(offset, length);
+  const uint8_t* lp = reinterpret_cast<const uint8_t*>(lbytes.data());
+  const uint8_t* const lend = lp + lbytes.size();
+  uint64_t produced = 0;  // text cursor over the virtual decoded document
+  uint64_t flen = 0;
+  uint32_t i = 0;
+  const uint8_t* first_lp = lp;  // vbyte of the first window factor
+  for (; i < count; ++i) {  // factors wholly before the window
+    first_lp = lp;
+    uint32_t v = 0;
+    if (!NextLengthChecked(&lp, lend, &v)) return BadLength();
+    flen = v == 0 ? 1 : v;
+    if (produced + flen > offset) break;
+    produced += flen;
+  }
+  if (i == count) return Status::OK();  // the window starts past the end
+  const uint32_t first = i;
+  const uint64_t head = offset - produced;  // first factor's bytes skipped
+  produced += flen;
+  for (++i; i < count && produced < end; ++i) {
+    uint32_t v = 0;
+    if (!NextLengthChecked(&lp, lend, &v)) return BadLength();
+    produced += v == 0 ? 1 : v;
+  }
+  const uint32_t last = i;
+  const uint64_t total = std::min(produced, end) - offset;
+  if (total > kMaxDecodedDocBytes) {
+    return Status::Corruption("factor coder: decoded size exceeds limit");
+  }
+  if (total == 0) return Status::OK();
+
+  // Positions of factors [first, last): U indexes the raw words directly;
+  // Z inflates only the stream's first 4 * last bytes (gzipx prefix-stop
+  // mode, which checks the CRC only when that is the whole stream).
+  const uint8_t* pp;
+  if (coding_.pos == PosCoding::kU32) {
+    pp = reinterpret_cast<const uint8_t*>(pstream.data());
+  } else {
+    std::string* buf = scratch != nullptr ? &scratch->inflate : &local_inflate;
+    buf->clear();
+    RLZ_RETURN_IF_ERROR(
+        StreamCompressor().Decompress(pstream, buf, gz, 4ull * last));
+    if (buf->size() < 4ull * last) {
+      return Status::Corruption("u32 stream truncated");
+    }
+    pp = reinterpret_cast<const uint8_t*>(buf->data());
+  }
+  pp += 4ull * first;
+
+  // Pass 2: re-walk the window's factors and expand them straight into
+  // the output, as DecodeDocFused does. Only the first factor (entered
+  // `head` bytes in) and the last (cut at the window end) can be
+  // clipped; both are peeled off the copy loop, and neither is a literal
+  // (a literal is one byte). Every factor is bounds-checked against the
+  // dictionary before its copy; on a failure the output is rolled back
+  // to its input length.
+  const std::string_view d = dict.text();
+  const size_t out_base = text->size();
+  text->resize(out_base + total + 16);
+  char* dst = text->data() + out_base;
+  const char* const out_end = dst + total;
+  auto outside = [&] {
+    text->resize(out_base);
+    return Status::Corruption("factor coder: factor outside dictionary");
+  };
+  lp = first_lp;
+  uint32_t k = first;
+  if (head != 0) {
+    const uint32_t len = NextLength(&lp);
+    const uint32_t p = NextPosition(&pp);
+    if (static_cast<size_t>(p) + len > d.size()) return outside();
+    const size_t n = std::min<uint64_t>(len - head, total);
+    std::memcpy(dst, d.data() + p + head, n);
+    dst += n;
+    ++k;
+  }
+  const uint32_t unclipped_end = produced > end ? last - 1 : last;
+  for (; k < unclipped_end; ++k) {
+    const uint32_t len = NextLength(&lp);
+    const uint32_t p = NextPosition(&pp);
+    if (len == 0) {
+      if (p > 0xFF) {
+        text->resize(out_base);
+        return Status::Corruption("factor coder: literal out of range");
+      }
+      *dst++ = static_cast<char>(p);
+    } else {
+      if (static_cast<size_t>(p) + len > d.size()) return outside();
+      if (len <= 16 && static_cast<size_t>(p) + 16 <= d.size()) {
+        std::memcpy(dst, d.data() + p, 16);  // slack absorbs the overrun
+      } else {
+        std::memcpy(dst, d.data() + p, len);
+      }
+      dst += len;
+    }
+  }
+  if (k < last) {
+    const uint32_t len = NextLength(&lp);
+    const uint32_t p = NextPosition(&pp);
+    if (static_cast<size_t>(p) + len > d.size()) return outside();
+    std::memcpy(dst, d.data() + p, static_cast<size_t>(out_end - dst));
+  }
+  text->resize(out_base + total);
+  return Status::OK();
+}
+
 Status FactorCoder::DecodeDoc(std::string_view in, const Dictionary& dict,
                               std::string* text,
                               DecodeScratch* scratch) const {
   // The paper's four pairs all decode through the fused no-vector path;
   // the extension codecs (PFD/S9) go through the general stream decode.
-  if ((coding_.pos == PosCoding::kU32 || coding_.pos == PosCoding::kZlib) &&
-      (coding_.len == LenCoding::kVByte || coding_.len == LenCoding::kZlib)) {
-    return DecodeDocFused(in, dict, text, scratch);
-  }
+  if (IsPaperPair()) return DecodeDocFused(in, dict, text, scratch);
   std::vector<uint32_t> local_positions;
   std::vector<uint32_t> local_lengths;
   std::vector<uint32_t>* positions =

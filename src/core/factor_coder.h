@@ -115,12 +115,24 @@ class FactorCoder {
   /// factors before the range and stopping after it — snippet extraction
   /// without materializing the whole document. If the range extends past
   /// the end of the document the available suffix is returned. `scratch`
-  /// as in DecodeDoc.
+  /// as in DecodeDoc. For the paper's four pairs the read pays only for
+  /// its range: the length scan stops at the range end and Z positions
+  /// inflate only up to the last factor in range, so the parts of the
+  /// streams past the range are not validated (DESIGN.md §8).
   Status DecodeRange(std::string_view in, const Dictionary& dict,
                      size_t offset, size_t length, std::string* text,
                      DecodeScratch* scratch = nullptr) const;
 
  private:
+  /// True for the paper's four pairs (U32/Zlib positions × VByte/Zlib
+  /// lengths), which decode through the fused paths below.
+  bool IsPaperPair() const {
+    return (coding_.pos == PosCoding::kU32 ||
+            coding_.pos == PosCoding::kZlib) &&
+           (coding_.len == LenCoding::kVByte ||
+            coding_.len == LenCoding::kZlib);
+  }
+
   Status DecodeStreams(std::string_view in, std::vector<uint32_t>* positions,
                        std::vector<uint32_t>* lengths, size_t* consumed,
                        DecodeScratch* scratch) const;
@@ -131,6 +143,16 @@ class FactorCoder {
   /// position/length vectors. Byte-identical output to the general path.
   Status DecodeDocFused(std::string_view in, const Dictionary& dict,
                         std::string* text, DecodeScratch* scratch) const;
+
+  /// The fused range walker behind DecodeRange for the paper's four
+  /// pairs: one scan of the raw vbyte lengths up to the window end finds
+  /// the factors the window touches, then only those expand off the raw
+  /// streams (U positions indexed in place, Z positions inflated only up
+  /// to the window's last factor), with no position/length vectors.
+  /// Byte-identical output to the general path.
+  Status DecodeRangeFused(std::string_view in, const Dictionary& dict,
+                          size_t offset, size_t length, std::string* text,
+                          DecodeScratch* scratch) const;
 
   PairCoding coding_;
 };

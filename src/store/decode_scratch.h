@@ -27,13 +27,15 @@ namespace rlz {
 /// Contents are undefined between calls — every consumer clears before
 /// use and must not read results out of a scratch it did not just fill.
 struct DecodeScratch {
-  /// Factor position stream of the document being decoded.
+  /// Factor position stream of the document being decoded (PFD/S9 pairs;
+  /// the paper's four pairs decode documents and ranges without it).
   std::vector<uint32_t> positions;
-  /// Factor length stream of the document being decoded.
+  /// Factor length stream of the document being decoded (as above).
   std::vector<uint32_t> lengths;
-  /// Inflate buffer for the z-coded position stream (gzipx output).
+  /// Inflate buffer for the z-coded position stream (gzipx output; a
+  /// range read inflates only the prefix it needs).
   std::string inflate;
-  /// Second inflate buffer: the fused decode of "ZZ" documents needs both
+  /// Second inflate buffer: the fused decodes of "ZZ" documents need both
   /// raw streams alive at once.
   std::string inflate2;
   /// Whole-document buffer for paths that decode a full document in order

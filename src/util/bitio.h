@@ -48,9 +48,12 @@ class BitWriter {
   int filled_ = 0;
 };
 
-/// Reads bit fields written by BitWriter. Reading past the end returns
-/// zero bits and sets overflowed(); callers validate with a checksum or
-/// symbol count rather than aborting, since inputs may be corrupt files.
+/// Reads bit fields written by BitWriter. Past the end of the stream the
+/// reader supplies zero bits, so a decoder may peek beyond the last real
+/// bit (a table lookup wider than the final code) without harm.
+/// overflowed() reports whether more bits were *consumed* than the stream
+/// holds: a well-formed stream never does, so callers treat it as
+/// corruption rather than aborting, since inputs may be corrupt files.
 class BitReader {
  public:
   BitReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
@@ -110,7 +113,11 @@ class BitReader {
     filled_ -= nbits;
   }
 
-  bool overflowed() const { return overflowed_; }
+  /// True once more bits have been consumed (read or skipped) than the
+  /// stream holds. Zero bits merely peeked past the end do not count.
+  bool overflowed() const {
+    return padded_bits_ > static_cast<uint64_t>(filled_);
+  }
 
   /// Byte position of the next unread byte.
   size_t byte_pos() const { return pos_; }
@@ -145,7 +152,7 @@ class BitReader {
       if (pos_ < size_) {
         byte = data_[pos_++];
       } else {
-        overflowed_ = true;
+        padded_bits_ += 8;
       }
       acc_ |= byte << filled_;
       filled_ += 8;
@@ -156,7 +163,7 @@ class BitReader {
   size_t size_;
   size_t pos_ = 0;
   uint64_t acc_ = 0;
-  bool overflowed_ = false;
+  uint64_t padded_bits_ = 0;  // zero bits supplied past the stream end
   int filled_ = 0;
 };
 

@@ -246,7 +246,8 @@ void GzipxCompressor::Compress(std::string_view in, std::string* out) const {
 }
 
 Status GzipxCompressor::Decompress(std::string_view in, std::string* out,
-                                   GzipxDecodeScratch* scratch) const {
+                                   GzipxDecodeScratch* scratch,
+                                   size_t limit) const {
   size_t pos = 0;
   if (in.empty() || static_cast<uint8_t>(in[0]) != kMagic) {
     return Status::Corruption("gzipx: bad magic");
@@ -266,20 +267,23 @@ Status GzipxCompressor::Decompress(std::string_view in, std::string* out,
   GzipxDecodeScratch* s = scratch != nullptr ? scratch : &local_scratch;
 
   // The header records the exact uncompressed size, so the output is
-  // sized once and written through raw pointers; the historical per-byte
-  // push_back dominated decode time. Every write below is bounds-checked
-  // against `total` before it happens. On any error the output is rolled
-  // back to its input length.
+  // sized once (to the prefix in prefix-stop mode) and written through
+  // raw pointers; the historical per-byte push_back dominated decode
+  // time. Every write below is bounds-checked against `want` before it
+  // happens, and every token against `total`. On any error the output is
+  // rolled back to its input length.
+  const size_t want = std::min<size_t>(total, limit);
   const size_t out_base = out->size();
-  out->resize(out_base + total);
+  out->resize(out_base + want);
   char* const base = out->data() + out_base;
+  const size_t stop = want < total ? want : kWholeStream;
   size_t produced = 0;
   auto fail = [&](Status status) {
     out->resize(out_base);
     return status;
   };
 
-  while (produced < total) {
+  while (produced < want) {
     uint32_t span = 0;
     uint32_t num_tokens = 0;
     Status st;
@@ -296,8 +300,9 @@ Status GzipxCompressor::Decompress(std::string_view in, std::string* out,
       if (pos + span > in.size()) {
         return fail(Status::Corruption("gzipx: truncated stored block"));
       }
-      std::memcpy(base + produced, in.data() + pos, span);
-      produced += span;
+      const size_t n = std::min<size_t>(span, want - produced);
+      std::memcpy(base + produced, in.data() + pos, n);
+      produced += n;
       pos += span;
       continue;
     }
@@ -318,21 +323,22 @@ Status GzipxCompressor::Decompress(std::string_view in, std::string* out,
     if (!(st = s->lit.Init(s->lit_lens)).ok()) return fail(st);
     if (!(st = s->dist.Init(s->dist_lens)).ok()) return fail(st);
 
-    for (uint32_t t = 0; t < num_tokens; ++t) {
+    // A whole-stream decode runs every token of the block (a token past
+    // the recorded size is an overrun); a prefix stops at `want`.
+    for (uint32_t t = 0; t < num_tokens && produced < stop; ++t) {
       // One refill covers the whole token: literal/length code (<= 15) +
       // length extra (<= 5) + distance code (<= 15) + distance extra
       // (<= 13) = 48 bits, so the per-symbol decodes skip the refill
-      // branch. Note: BitReader may peek past the padded end of the block
-      // while decoding the final symbols; that is benign (the token count
-      // bounds decoding and the trailing CRC catches real truncation), so
-      // overflowed() is deliberately not treated as an error here.
+      // branch. The refill may peek zero bits past the block's end while
+      // the final symbols decode; only bits actually consumed past it
+      // make the block corrupt (checked after the loop).
       br.EnsureBits(48);
       const int32_t sym = s->lit.DecodeNoRefill(&br);
       if (sym < 0 || sym == 256 || sym >= kNumLitLen) {
         return fail(Status::Corruption("gzipx: bad literal/length symbol"));
       }
       if (sym < 256) {
-        if (produced >= total) {
+        if (produced >= want) {
           return fail(Status::Corruption("gzipx: output overrun"));
         }
         base[produced++] = static_cast<char>(sym);
@@ -354,30 +360,39 @@ Status GzipxCompressor::Decompress(std::string_view in, std::string* out,
       if (static_cast<size_t>(len) > total - produced) {
         return fail(Status::Corruption("gzipx: output overrun"));
       }
-      // Overlap-aware copy: a distance at least the length is a plain
-      // memcpy; distance 1 is a byte run; short distances replay bytes.
+      // Overlap-aware copy, clipped at the prefix end: a distance at
+      // least the length is a plain memcpy; distance 1 is a byte run;
+      // short distances replay bytes.
+      const size_t n = std::min<size_t>(static_cast<size_t>(len),
+                                        want - produced);
       char* dst = base + produced;
       const char* src = dst - dist;
-      if (dist >= len) {
-        std::memcpy(dst, src, static_cast<size_t>(len));
+      if (static_cast<size_t>(dist) >= n) {
+        std::memcpy(dst, src, n);
       } else if (dist == 1) {
-        std::memset(dst, *src, static_cast<size_t>(len));
+        std::memset(dst, *src, n);
       } else {
-        for (int k = 0; k < len; ++k) dst[k] = src[k];
+        for (size_t k = 0; k < n; ++k) dst[k] = src[k];
       }
-      produced += static_cast<size_t>(len);
+      produced += n;
+    }
+    if (br.overflowed()) {
+      return fail(Status::Corruption("gzipx: huffman block overrun"));
     }
   }
 
+  // A stopped prefix skips the CRC: it covers bytes never inflated.
+  if (want < total) return Status::OK();
   if (pos + 4 > in.size()) {
     return fail(Status::Corruption("gzipx: missing crc"));
   }
-  uint32_t want = 0;
+  uint32_t want_crc = 0;
   for (int i = 0; i < 4; ++i) {
-    want |= static_cast<uint32_t>(static_cast<uint8_t>(in[pos + i])) << (8 * i);
+    want_crc |= static_cast<uint32_t>(static_cast<uint8_t>(in[pos + i]))
+                << (8 * i);
   }
   const uint32_t got = Crc32(base, static_cast<size_t>(total));
-  if (want != got) return fail(Status::Corruption("gzipx: crc mismatch"));
+  if (want_crc != got) return fail(Status::Corruption("gzipx: crc mismatch"));
   return Status::OK();
 }
 

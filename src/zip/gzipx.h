@@ -58,8 +58,21 @@ class GzipxCompressor final : public Compressor {
   /// the code-length buffers and decoder tables, removing every per-call
   /// allocation except the output itself. Output bytes are identical with
   /// or without scratch.
+  ///
+  /// Prefix-stop mode: with `limit` below the stream's size, only the
+  /// first `limit` bytes are inflated (appended to `*out`) and decoding
+  /// stops there, inside a block if need be. The trailing CRC covers the
+  /// whole stream, so it is checked only when the whole stream was
+  /// inflated; a stopped prefix keeps every structural check (block
+  /// bounds, symbol ranges, match distances, and Huffman bits consumed
+  /// past a block's end are all Corruption). DESIGN.md §8 records what
+  /// replaces the CRC for the factor coder's range reads.
   Status Decompress(std::string_view in, std::string* out,
-                    GzipxDecodeScratch* scratch) const;
+                    GzipxDecodeScratch* scratch,
+                    size_t limit = kWholeStream) const;
+
+  /// `limit` of a whole-stream Decompress.
+  static constexpr size_t kWholeStream = ~size_t{0};
   StatusOr<CompressorId> persistent_id() const override {
     return CompressorId::kGzipx;
   }

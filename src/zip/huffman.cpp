@@ -1,18 +1,28 @@
 #include "zip/huffman.h"
 
 #include <algorithm>
+#include <array>
 #include <queue>
 
 namespace rlz {
 namespace {
 
-uint32_t ReverseBits(uint32_t v, int nbits) {
-  uint32_t r = 0;
-  for (int i = 0; i < nbits; ++i) {
-    r = (r << 1) | (v & 1);
-    v >>= 1;
+// Every byte with its bit order reversed.
+constexpr std::array<uint8_t, 256> kReversedByte = [] {
+  std::array<uint8_t, 256> table{};
+  for (int v = 0; v < 256; ++v) {
+    int r = 0;
+    for (int b = 0; b < 8; ++b) r |= ((v >> b) & 1) << (7 - b);
+    table[v] = static_cast<uint8_t>(r);
   }
-  return r;
+  return table;
+}();
+
+// Reverses the low `nbits` bits of `v` (nbits <= 16) two bytes at a time.
+uint32_t ReverseBits(uint32_t v, int nbits) {
+  const uint32_t r16 = (static_cast<uint32_t>(kReversedByte[v & 0xFF]) << 8) |
+                       kReversedByte[(v >> 8) & 0xFF];
+  return r16 >> (16 - nbits);
 }
 
 }  // namespace
@@ -138,18 +148,26 @@ HuffmanEncoder::HuffmanEncoder(const std::vector<uint8_t>& lengths)
 }
 
 Status HuffmanDecoder::Init(const std::vector<uint8_t>& lengths) {
-  max_len_ = 0;
-  for (uint8_t l : lengths) max_len_ = std::max<int>(max_len_, l);
+  // One pass over the lengths builds the per-length counts; the maximum
+  // length and the Kraft sum then come from the 16 counts alone.
+  uint32_t count[kMaxHuffmanBits + 1] = {};
+  bool too_long = false;
+  for (uint8_t l : lengths) {
+    too_long |= l > kMaxHuffmanBits;
+    ++count[l & kMaxHuffmanBits];
+  }
+  max_len_ = kMaxHuffmanBits;
+  while (max_len_ > 0 && count[max_len_] == 0) --max_len_;
+  if (too_long) {
+    return Status::Corruption("huffman: code length too large");
+  }
   if (max_len_ == 0) {
     return Status::Corruption("huffman: no symbols");
   }
-  if (max_len_ > kMaxHuffmanBits) {
-    return Status::Corruption("huffman: code length too large");
-  }
   // Validate the Kraft inequality before filling the table.
   uint64_t kraft = 0;
-  for (uint8_t l : lengths) {
-    if (l > 0) kraft += 1ULL << (max_len_ - l);
+  for (int l = 1; l <= max_len_; ++l) {
+    kraft += static_cast<uint64_t>(count[l]) << (max_len_ - l);
   }
   if (kraft > (1ULL << max_len_)) {
     return Status::Corruption("huffman: over-subscribed code");
@@ -158,16 +176,19 @@ Status HuffmanDecoder::Init(const std::vector<uint8_t>& lengths) {
   // The root table covers codes up to root_bits_; longer codes resolve
   // through the canonical walk (DecodeSlow). Capping the table keeps Init
   // O(2^kRootBits + symbols) instead of O(2^max_len) — the difference
-  // between 4 KB and 128 KB of table fill per decoded stream.
+  // between 4 KB and 128 KB of table fill per decoded stream. A complete
+  // code with no code longer than the table fills every entry itself, so
+  // only the other codes pay for marking the unused entries invalid.
   root_bits_ = std::min(max_len_, kRootBits);
-  table_.assign(1ULL << root_bits_, kInvalidEntry);
-
-  uint32_t count[kMaxHuffmanBits + 1] = {};
-  for (uint8_t l : lengths) {
-    if (l > 0) ++count[l];
+  if (max_len_ <= kRootBits && kraft == (1ULL << max_len_)) {
+    table_.resize(1ULL << root_bits_);
+  } else {
+    table_.assign(1ULL << root_bits_, kInvalidEntry);
   }
+
   uint32_t next[kMaxHuffmanBits + 2] = {};
   uint32_t code = 0;
+  count[0] = 0;  // unused symbols take no code space
   for (int l = 1; l <= kMaxHuffmanBits; ++l) {
     code = (code + count[l - 1]) << 1;
     next[l] = code;
@@ -181,17 +202,18 @@ Status HuffmanDecoder::Init(const std::vector<uint8_t>& lengths) {
     perm_offset_[l] = slow_symbols;
     slow_symbols += count[l];
   }
-  perm_.assign(slow_symbols, 0);
+  perm_.resize(slow_symbols);
 
+  const size_t table_size = table_.size();
   for (size_t s = 0; s < lengths.size(); ++s) {
     const int l = lengths[s];
     if (l == 0) continue;
     const uint32_t canon = next[l]++;
     if (l <= root_bits_) {
-      const uint32_t rc = ReverseBits(canon, l);
       const uint32_t entry =
           (static_cast<uint32_t>(s) << 4) | static_cast<uint32_t>(l - 1);
-      for (uint64_t fill = rc; fill < table_.size(); fill += 1ULL << l) {
+      for (size_t fill = ReverseBits(canon, l); fill < table_size;
+           fill += size_t{1} << l) {
         table_[fill] = entry;
       }
     } else {

@@ -160,6 +160,179 @@ TEST(HotPathTest, ScratchDecodeRangeIsByteIdenticalAcrossAllCodings) {
   }
 }
 
+// A window together with the bytes it must decode to: the `Get` slice.
+struct EdgeWindow {
+  size_t offset;
+  size_t length;
+  const char* what;
+};
+
+// The windows a range walker gets wrong first, for one document given
+// its factor list: the document's start, a window ending exactly on a
+// factor boundary, a window starting inside a multi-byte factor and one
+// starting on a literal, the last byte, offsets at and past the end, an
+// empty window, and lengths running past the end (SIZE_MAX included).
+std::vector<EdgeWindow> EdgeWindows(const std::vector<Factor>& factors,
+                                    size_t size) {
+  std::vector<EdgeWindow> windows = {
+      {0, 400, "offset 0"},
+      {0, 1, "first byte"},
+      {size == 0 ? 0 : size - 1, 1, "last byte"},
+      {size, 10, "offset == size"},
+      {size + 1, 10, "offset > size"},
+      {size + 1000, 0, "offset > size, length 0"},
+      {size / 2, 0, "length 0"},
+      {size > 7 ? size - 7 : 0, 400, "length past the end"},
+      {size / 3, ~size_t{0}, "length SIZE_MAX"},
+  };
+  size_t at = 0;
+  bool boundary = false;
+  bool inside = false;
+  bool literal = false;
+  for (size_t k = 0; k < factors.size(); ++k) {
+    const size_t flen = factors[k].len == 0 ? 1 : factors[k].len;
+    if (!boundary && k >= factors.size() / 2 && at >= 30) {
+      windows.push_back({at - 30, 30, "ends on a factor boundary"});
+      boundary = true;
+    }
+    if (!inside && factors[k].len > 2 && k > 0) {
+      windows.push_back({at + 1, 50, "starts inside a factor"});
+      windows.push_back({at + 1, factors[k].len - 2, "inside one factor"});
+      inside = true;
+    }
+    if (!literal && factors[k].len == 0 && k > 0) {
+      windows.push_back({at, 40, "starts on a literal"});
+      windows.push_back({at, 1, "the literal alone"});
+      literal = true;
+    }
+    at += flen;
+  }
+  return windows;
+}
+
+// The range gate of the decode layer: GetRange bytes equal the Get slice
+// for every PairCoding over the edge windows, through the archive with
+// and without scratch and through FactorCoder::DecodeRange appending to a
+// non-empty output.
+TEST(HotPathTest, GetRangeEqualsGetSliceOnEdgeWindowsAllCodings) {
+  CorpusOptions options;
+  options.target_bytes = 1 << 17;
+  options.seed = 58;
+  const Collection collection = GenerateCorpus(options).collection;
+  // A small dictionary forces literals into the factor lists.
+  std::shared_ptr<const Dictionary> dict = DictionaryBuilder::BuildSampled(
+      collection.data(), collection.size_bytes() / 200, 256);
+  Factorizer factorizer(dict.get());
+  std::vector<std::vector<Factor>> docs(collection.num_docs());
+  for (size_t i = 0; i < collection.num_docs(); ++i) {
+    factorizer.Factorize(collection.doc(i), &docs[i]);
+  }
+  for (const PairCoding coding : AllCodings()) {
+    SCOPED_TRACE(coding.name());
+    const auto archive = RlzArchive::BuildFromFactors(dict, docs, coding);
+    const FactorCoder coder(coding);
+    DecodeScratch scratch;
+    for (size_t i = 0; i < collection.num_docs(); i += 4) {
+      std::string whole;
+      ASSERT_TRUE(archive->Get(i, &whole).ok());
+      ASSERT_EQ(whole, collection.doc(i));
+      std::string encoded;
+      ASSERT_TRUE(coder.EncodeDoc(docs[i], &encoded).ok());
+      for (const EdgeWindow& w : EdgeWindows(docs[i], whole.size())) {
+        SCOPED_TRACE(std::string(w.what) + " doc " + std::to_string(i) +
+                     " offset " + std::to_string(w.offset));
+        const std::string expect =
+            w.offset < whole.size() ? whole.substr(w.offset, w.length)
+                                    : std::string();
+        std::string fresh;
+        std::string reused;
+        ASSERT_TRUE(archive->GetRange(i, w.offset, w.length, &fresh).ok());
+        ASSERT_TRUE(archive
+                        ->GetRange(i, w.offset, w.length, &reused, nullptr,
+                                   &scratch)
+                        .ok());
+        ASSERT_EQ(fresh, expect);
+        ASSERT_EQ(reused, expect);
+        std::string appended = "prefix";
+        ASSERT_TRUE(coder
+                        .DecodeRange(encoded, *dict, w.offset, w.length,
+                                     &appended, &scratch)
+                        .ok());
+        ASSERT_EQ(appended, "prefix" + expect);
+      }
+    }
+  }
+}
+
+// Corrupt factor streams: every truncation prefix and every single-byte
+// flip of sample encoded documents, for every PairCoding, through
+// DecodeDoc and DecodeRange over several windows. Each call must either
+// fail (leaving the output exactly as it was) or succeed with in-bounds
+// bytes: a range no longer than asked for, appended after the existing
+// output. Run under the Sanitize build this is the memory-safety check
+// of the early-stopping walker, which no longer sees gzipx's CRC over
+// the whole position stream (DESIGN.md §8).
+TEST(HotPathTest, CorruptStreamsFailOrStayInBoundsAllCodings) {
+  CorpusOptions options;
+  options.target_bytes = 1 << 16;
+  options.seed = 59;
+  const Collection collection = GenerateCorpus(options).collection;
+  auto dict = DictionaryBuilder::BuildSampled(
+      collection.data(), collection.size_bytes() / 10, 256);
+  Factorizer factorizer(dict.get());
+  // Two 600-byte texts (a mix of dictionary factors and literals) keep
+  // the sweep (encoded bytes x flips x calls, quadratic in the stream
+  // size for truncations) fast under the sanitizers.
+  const std::string texts[] = {
+      std::string(collection.doc(0).substr(0, 600)),
+      std::string(collection.doc(1).substr(1000, 600))};
+
+  for (const PairCoding coding : AllCodings()) {
+    SCOPED_TRACE(coding.name());
+    const FactorCoder coder(coding);
+    DecodeScratch scratch;
+    for (const std::string& doc : texts) {
+      std::vector<Factor> factors;
+      factorizer.Factorize(doc, &factors);
+      std::string encoded;
+      ASSERT_TRUE(coder.EncodeDoc(factors, &encoded).ok());
+      const EdgeWindow windows[] = {{0, 400, "first"},
+                                    {doc.size() / 2, 100, "middle"},
+                                    {doc.size() - 50, 400, "tail"},
+                                    {7, 0, "empty"}};
+      auto check = [&](std::string_view in) {
+        std::string out = "keep";
+        if (coder.DecodeDoc(in, *dict, &out, &scratch).ok()) {
+          ASSERT_EQ(out.compare(0, 4, "keep"), 0);
+        } else {
+          ASSERT_EQ(out, "keep");
+        }
+        for (const EdgeWindow& w : windows) {
+          out = "keep";
+          if (coder.DecodeRange(in, *dict, w.offset, w.length, &out, &scratch)
+                  .ok()) {
+            ASSERT_EQ(out.compare(0, 4, "keep"), 0) << w.what;
+            ASSERT_LE(out.size(), 4 + w.length) << w.what;
+          } else {
+            ASSERT_EQ(out, "keep") << w.what;
+          }
+        }
+      };
+      for (size_t cut = 0; cut < encoded.size(); ++cut) {
+        check(std::string_view(encoded).substr(0, cut));
+      }
+      std::string flipped = encoded;
+      for (size_t at = 0; at < encoded.size(); ++at) {
+        for (const uint8_t mask : {0x01, 0x80, 0xFF}) {
+          flipped[at] = static_cast<char>(encoded[at] ^ mask);
+          check(flipped);
+        }
+        flipped[at] = encoded[at];
+      }
+    }
+  }
+}
+
 // The decode output must append (not clobber) and be identical whether the
 // same scratch was previously used on a larger document — stale scratch
 // contents must never leak into a later decode.

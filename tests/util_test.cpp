@@ -191,6 +191,25 @@ TEST(BitIoTest, OverflowFlag) {
   EXPECT_TRUE(br.overflowed());
 }
 
+// Only bits consumed past the end overflow: a decoder may peek (or
+// refill) beyond the last real bit, as gzipx's 48-bit refill does.
+TEST(BitIoTest, PeekingPastTheEndIsNotOverflow) {
+  const std::string buf = "\x5A\xC3";  // 16 real bits
+  BitReader br(buf);
+  br.EnsureBits(48);
+  EXPECT_EQ(br.PeekBits(40), 0xC35Au);
+  EXPECT_FALSE(br.overflowed());
+  EXPECT_EQ(br.ReadBits(12), 0x35Au);
+  EXPECT_EQ(br.PeekBits(20), 0xCu);  // 4 real bits, then zeros
+  EXPECT_FALSE(br.overflowed());
+  br.SkipBits(4);  // the last real bits
+  EXPECT_FALSE(br.overflowed());
+  br.SkipBits(1);  // one bit past the end
+  EXPECT_TRUE(br.overflowed());
+  br.EnsureBits(40);  // refilling again does not clear it
+  EXPECT_TRUE(br.overflowed());
+}
+
 TEST(Crc32Test, KnownVectors) {
   // Standard IEEE CRC-32 test vector.
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -106,6 +107,149 @@ TEST(HuffmanTest, DecoderRejectsOversubscribedCode) {
   // Three codes of length 1 violate Kraft.
   HuffmanDecoder dec;
   EXPECT_EQ(dec.Init({1, 1, 1}).code(), StatusCode::kCorruption);
+}
+
+// A bit-serial canonical Huffman decoder, the textbook reference for
+// HuffmanDecoder: it accepts exactly the length sets with at least one
+// code, no length above kMaxHuffmanBits and a Kraft sum of at most one,
+// and decodes by reading one bit at a time (LSB-first stream, codes
+// stored bit-reversed, so each bit read extends the canonical code)
+// until the code matches a length's canonical range.
+class ReferenceHuffman {
+ public:
+  bool Init(const std::vector<uint8_t>& lengths) {
+    max_len_ = 0;
+    for (uint8_t l : lengths) {
+      if (l > kMaxHuffmanBits) return false;
+      max_len_ = std::max<int>(max_len_, l);
+    }
+    if (max_len_ == 0) return false;
+    double kraft = 0;
+    for (uint8_t l : lengths) {
+      if (l > 0) kraft += 1.0 / static_cast<double>(1u << l);
+    }
+    if (kraft > 1.0) return false;
+    // Symbols of each length in symbol order are that length's
+    // consecutive canonical codes, starting at first_[len].
+    by_len_.assign(kMaxHuffmanBits + 1, {});
+    for (size_t s = 0; s < lengths.size(); ++s) {
+      if (lengths[s] > 0) by_len_[lengths[s]].push_back(static_cast<int>(s));
+    }
+    uint32_t code = 0;
+    first_.assign(kMaxHuffmanBits + 1, 0);
+    for (int len = 1; len <= kMaxHuffmanBits; ++len) {
+      code = (code + static_cast<uint32_t>(by_len_[len - 1].size())) << 1;
+      first_[len] = code;
+    }
+    return true;
+  }
+
+  // Decodes one symbol starting at bit `*bit` of `data`, or -1 if no code
+  // of up to max_len bits matches. Bits past the end read as zero.
+  int Decode(const std::string& data, size_t* bit) const {
+    uint32_t code = 0;
+    for (int len = 1; len <= max_len_; ++len) {
+      const size_t b = (*bit)++;
+      const uint32_t v =
+          b / 8 < data.size()
+              ? (static_cast<uint8_t>(data[b / 8]) >> (b % 8)) & 1u
+              : 0u;
+      code = (code << 1) | v;
+      if (code >= first_[len] && code - first_[len] < by_len_[len].size()) {
+        return by_len_[len][code - first_[len]];
+      }
+    }
+    return -1;
+  }
+
+ private:
+  int max_len_ = 0;
+  std::vector<uint32_t> first_;
+  std::vector<std::vector<int>> by_len_;
+};
+
+// HuffmanDecoder against the bit-serial reference over random complete,
+// under-full and over-subscribed length sets, codes reaching length 15
+// (past the root table), single-symbol codes and lengths out of range:
+// both must accept and reject the same sets and decode the same symbol
+// sequence from the same random bits, failing at the same symbol.
+TEST(HuffmanTest, DecoderMatchesBitSerialReference) {
+  Rng rng(20260);
+  std::vector<std::vector<uint8_t>> sets;
+  for (int iter = 0; iter < 60; ++iter) {
+    // Complete codes from real frequency tables; the skewed ones (each
+    // frequency ~1.6x the last) hit the 15-bit length limit.
+    const size_t n = 2 + rng.Uniform(iter % 3 == 0 ? 286 : 40);
+    std::vector<uint64_t> freqs(n, 0);
+    uint64_t f = 1;
+    for (auto& x : freqs) {
+      if (iter % 4 == 1) {
+        x = f;
+        f = f + f / 2 + 1;
+      } else {
+        x = rng.Uniform(3) == 0 ? 0 : 1 + rng.Uniform(1000);
+      }
+    }
+    freqs[rng.Uniform(n)] += 1;  // at least one used symbol
+    const std::vector<uint8_t> complete = BuildHuffmanCodeLengths(freqs);
+    sets.push_back(complete);
+    // Under-full: drop a used symbol (if two or more remain).
+    std::vector<uint8_t> under = complete;
+    for (size_t k = 0; k < under.size(); ++k) {
+      if (under[k] > 0) {
+        under[k] = 0;
+        break;
+      }
+    }
+    sets.push_back(under);
+    // Over-subscribed: shorten one code, or add a symbol.
+    std::vector<uint8_t> over = complete;
+    for (auto& l : over) {
+      if (l > 1) {
+        --l;
+        break;
+      }
+    }
+    over.push_back(1);
+    sets.push_back(over);
+  }
+  std::vector<uint8_t> deep(16, 0);  // lengths 1..15 plus a second 15
+  for (int l = 1; l <= 15; ++l) deep[l - 1] = static_cast<uint8_t>(l);
+  deep[15] = 15;
+  sets.push_back(deep);
+  deep.pop_back();  // under-full at length 15
+  sets.push_back(deep);
+  sets.push_back({1});                // single symbol, length 1
+  sets.push_back({0, 0, 4, 0});       // single symbol, longer code
+  sets.push_back({0, 0, 0});          // no symbols
+  sets.push_back({});                 // empty
+  sets.push_back({1, 16});            // length above the limit
+  sets.push_back({2, 2, 2, 2, 255});  // ... far above
+  sets.push_back({1, 1, 1});          // over-subscribed by a third code
+
+  for (size_t k = 0; k < sets.size(); ++k) {
+    SCOPED_TRACE("length set " + std::to_string(k));
+    const std::vector<uint8_t>& lengths = sets[k];
+    ReferenceHuffman ref;
+    HuffmanDecoder dec;
+    const bool ref_ok = ref.Init(lengths);
+    const Status status = dec.Init(lengths);
+    ASSERT_EQ(status.ok(), ref_ok) << status.ToString();
+    if (!ref_ok) {
+      EXPECT_EQ(status.code(), StatusCode::kCorruption);
+      continue;
+    }
+    std::string bits(512, '\0');
+    for (auto& c : bits) c = static_cast<char>(rng.Uniform(256));
+    BitReader br(bits);
+    size_t ref_bit = 0;
+    for (int i = 0; i < 1000; ++i) {
+      const int want = ref.Decode(bits, &ref_bit);
+      const int32_t got = dec.Decode(&br);
+      ASSERT_EQ(got < 0 ? -1 : got, want) << "symbol " << i;
+      if (want < 0) break;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -336,6 +480,54 @@ TEST(GzipxTest, WindowLimitRespected) {
   std::string output;
   ASSERT_TRUE(gz.Decompress(compressed, &output).ok());
   EXPECT_EQ(output, input);
+}
+
+// Prefix-stop mode: any `limit` inflates exactly the first `limit` bytes
+// (appended after existing output), stopping inside blocks and matches;
+// the trailing CRC is checked only when the whole stream is inflated, and
+// damage inside the inflated prefix is still Corruption.
+TEST(GzipxTest, PrefixStopInflatesExactlyThePrefix) {
+  Rng rng(13);
+  std::string input;
+  for (int i = 0; i < 300; ++i) {  // matches, runs and literals
+    input += "position " + std::to_string(rng.Uniform(50)) + "; ";
+    if (i % 40 == 0) input += std::string(100, 'z');
+  }
+  for (int i = 0; i < 3000; ++i) input += static_cast<char>(rng.Uniform(256));
+  const GzipxCompressor gz;
+  std::string compressed;
+  gz.Compress(input, &compressed);
+  GzipxDecodeScratch scratch;
+  for (size_t limit = 0; limit <= input.size() + 1; ++limit) {
+    std::string out = "pre";
+    ASSERT_TRUE(gz.Decompress(compressed, &out, &scratch, limit).ok())
+        << "limit " << limit;
+    ASSERT_EQ(out, "pre" + input.substr(0, limit)) << "limit " << limit;
+  }
+
+  // A bad CRC fails the whole stream but not a stopped prefix.
+  std::string bad_crc = compressed;
+  bad_crc.back() = static_cast<char>(bad_crc.back() ^ 1);
+  std::string out;
+  EXPECT_EQ(gz.Decompress(bad_crc, &out, &scratch).code(),
+            StatusCode::kCorruption);
+  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE(gz.Decompress(bad_crc, &out, &scratch, 100).ok());
+  EXPECT_EQ(out, input.substr(0, 100));
+
+  // Every truncation fails whenever the prefix asked for needs bytes that
+  // were cut, and never writes past the prefix.
+  for (size_t cut = 0; cut + 4 < compressed.size(); ++cut) {
+    const std::string_view in = std::string_view(compressed).substr(0, cut);
+    out = "keep";
+    const Status st = gz.Decompress(in, &out, &scratch, input.size());
+    ASSERT_FALSE(st.ok()) << "cut " << cut;
+    ASSERT_EQ(out, "keep") << "cut " << cut;
+    out.clear();
+    if (gz.Decompress(in, &out, &scratch, 64).ok()) {
+      ASSERT_EQ(out, input.substr(0, 64)) << "cut " << cut;
+    }
+  }
 }
 
 TEST(LzmaxTest, RepMatchesExploitStructuredData) {
