@@ -17,12 +17,11 @@
 // each of the paper's four pairs, a cache-miss decode (reused scratch, no
 // decode cache) of a random 400-byte window, of the first 400 bytes, and
 // of the whole document, over the same documents. The bench also reports
-// factorize throughput and single-/multi-threaded serving throughput
-// through DocService (cache off, so every request decodes). Results are
-// printed and written as machine-readable JSON (default
-// BENCH_hot_path.json in the working directory, stamped with host, nproc,
-// CPU model, compiler and commit) so the repo's perf trajectory is
-// recorded and regression-gated.
+// factorize throughput. Results are printed and written as
+// machine-readable JSON (default BENCH_hot_path.json in the working
+// directory, stamped with host, nproc, CPU model, compiler and commit) so
+// the repo's perf trajectory is recorded and regression-gated. Serving
+// throughput through DocService is serve_load_bench's job.
 //
 //   ./build/bench/hot_path_bench                full run
 //   ./build/bench/hot_path_bench --smoke       small corpus + two gates,
@@ -48,10 +47,8 @@
 #include "core/dictionary.h"
 #include "core/factor_coder.h"
 #include "core/factorizer.h"
-#include "core/rlz_archive.h"
 #include "corpus/generator.h"
 #include "io/file.h"
-#include "serve/doc_service.h"
 #include "bench_common.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -153,41 +150,6 @@ DecodeResult RunDecodePass(const FactorCoder& coder, const Dictionary& dict,
   std::sort(latencies_us.begin(), latencies_us.end());
   result.p50_us = latencies_us[n / 2];
   result.p99_us = latencies_us[std::min(n - 1, n * 99 / 100)];
-  return result;
-}
-
-struct ServeResult {
-  double wall_dps = 0.0;
-  double modeled_dps = 0.0;
-};
-
-// Serving throughput through DocService with the decode cache off, so
-// every request exercises the per-worker-scratch decode path.
-ServeResult RunServePass(const Archive& archive, size_t num_requests,
-                         int threads) {
-  DocServiceOptions options;
-  options.num_threads = threads;
-  options.cache_bytes = 0;
-  DocService service(&archive, options);
-  std::vector<std::future<GetResult>> futures;
-  futures.reserve(num_requests);
-  Timer wall;
-  for (size_t r = 0; r < num_requests; ++r) {
-    futures.push_back(service.Get(r % archive.num_docs()));
-  }
-  service.Drain();
-  const double wall_seconds = wall.ElapsedSeconds();
-  for (auto& f : futures) {
-    const GetResult result = f.get();
-    RLZ_CHECK(result.ok()) << result.status.ToString();
-  }
-  const ServiceStats stats = service.Stats();
-  ServeResult result;
-  result.wall_dps = static_cast<double>(num_requests) / wall_seconds;
-  result.modeled_dps =
-      stats.critical_path_seconds > 0.0
-          ? static_cast<double>(num_requests) / stats.critical_path_seconds
-          : 0.0;
   return result;
 }
 
@@ -418,28 +380,6 @@ bool Run(bool smoke, const std::string& out_path,
                   ratio, c + 1 < 4 ? "," : "");
     json.append(buf);
     if (name == "ZV") range_gate_ratio = ratio;
-  }
-  json.append("  },\n");
-
-  // Serving throughput: DocService over an rlz-ZV archive, cache off, so
-  // every request runs the per-worker-scratch decode.
-  const auto archive = RlzArchive::BuildFromFactors(dict, docs, kZV);
-  const size_t requests =
-      std::max<size_t>(collection.num_docs(), smoke ? 2000 : 20000);
-  std::printf("\n%-8s %12s %14s   (DocService, cache off, rlz-ZV)\n",
-              "threads", "wall dps", "modeled dps");
-  json.append("  \"serve\": {\n");
-  const int thread_rows[] = {1, 4};
-  for (size_t t = 0; t < 2; ++t) {
-    const ServeResult r = RunServePass(*archive, requests, thread_rows[t]);
-    std::printf("%-8d %12.0f %14.0f\n", thread_rows[t], r.wall_dps,
-                r.modeled_dps);
-    std::snprintf(buf, sizeof(buf),
-                  "    \"threads_%d\": {\"wall_dps\": %.0f, "
-                  "\"modeled_dps\": %.0f}%s\n",
-                  thread_rows[t], r.wall_dps, r.modeled_dps,
-                  t + 1 < 2 ? "," : "");
-    json.append(buf);
   }
   json.append("  },\n");
 

@@ -19,7 +19,7 @@
 // Reports wall-clock requests/s plus client-observed round-trip latency
 // percentiles per row (at depth > 1 latency includes pipeline queueing,
 // which is the point), and writes machine-readable JSON (default
-// BENCH_net.json).
+// BENCH_net.json, stamped with the host's provenance).
 //
 // The smoke gate asserts the subsystem's reason to exist: at 4
 // connections, snippet depth-16 requests/s must be at least
@@ -57,6 +57,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "corpus/generator.h"
 #include "io/file.h"
 #include "net/doc_server.h"
@@ -497,11 +498,8 @@ int Run(bool smoke, bool overload, const std::string& out_path) {
                 static_cast<unsigned long long>(collection.size_bytes()),
                 static_cast<unsigned long long>(corpus_options.seed));
   json.append(buf);
-  std::snprintf(buf, sizeof(buf),
-                "  \"store\": \"%s\",\n  \"host\": "
-                "{\"hardware_concurrency\": %u},\n",
-                store->name().c_str(), hw);
-  json.append(buf);
+  json.append("  \"store\": \"" + store->name() + "\",\n");
+  json.append("  \"provenance\": " + ProvenanceJson("") + ",\n");
   std::snprintf(buf, sizeof(buf),
                 "  \"config\": {\"snippet_bytes\": %zu, \"page_docs\": %zu, "
                 "\"snippet_requests_per_conn\": %zu, "

@@ -12,7 +12,8 @@
 //       manifest through read-all vs mmap opens (the zero-copy story of
 //       DESIGN.md §10 extended to real files).
 //
-// Results are printed and written as JSON (default BENCH_recovery.json).
+// Results are printed and written as JSON (default BENCH_recovery.json,
+// stamped with the host's provenance).
 //
 //   ./build/bench/recovery_bench                 full run
 //   ./build/bench/recovery_bench --smoke         small corpus + gate:
@@ -33,6 +34,7 @@
 #include <string_view>
 #include <vector>
 
+#include "bench_common.h"
 #include "corpus/generator.h"
 #include "io/fault_fs.h"
 #include "io/file.h"
@@ -234,6 +236,7 @@ void Run(bool smoke, const std::string& out_path) {
   std::string json;
   json.append("{\n  \"bench\": \"recovery\",\n");
   json.append(smoke ? "  \"mode\": \"smoke\",\n" : "  \"mode\": \"full\",\n");
+  json.append("  \"provenance\": " + ProvenanceJson("") + ",\n");
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "  \"corpus\": {\"docs\": %zu, \"bytes\": %llu, "

@@ -70,9 +70,11 @@ void CloseFrame(size_t at, bool crc, std::string* out) {
   std::memcpy(out->data() + at, &body_len, sizeof(body_len));
 }
 
-// v2 appended the overload counters (shed/expired/net_* defenses); a v1
-// peer rejects the version byte rather than misreading the layout.
-constexpr uint8_t kStatVersion = 2;
+// v2 appended the overload counters (shed/expired/net_* defenses); v3
+// dropped the four simulated-disk fields (bytes, seeks, seconds and the
+// critical path). A peer on another version rejects the version byte
+// rather than misreading the layout.
+constexpr uint8_t kStatVersion = 3;
 
 }  // namespace
 
@@ -135,25 +137,12 @@ void EncodeGetRequest(uint64_t id, const RequestOptions& opts,
   CloseFrame(at, opts.crc, out);
 }
 
-void EncodeGetRequest(uint64_t id, bool crc, std::string* out) {
-  RequestOptions opts;
-  opts.crc = crc;
-  EncodeGetRequest(id, opts, out);
-}
-
 void EncodeMultiGetRequest(const uint64_t* ids, size_t n,
                            const RequestOptions& opts, std::string* out) {
   const size_t at = OpenRequestFrame(MessageType::kMultiGet, opts, out);
   Put<uint32_t>(static_cast<uint32_t>(n), out);
   for (size_t i = 0; i < n; ++i) Put<uint64_t>(ids[i], out);
   CloseFrame(at, opts.crc, out);
-}
-
-void EncodeMultiGetRequest(const uint64_t* ids, size_t n, bool crc,
-                           std::string* out) {
-  RequestOptions opts;
-  opts.crc = crc;
-  EncodeMultiGetRequest(ids, n, opts, out);
 }
 
 void EncodeGetRangeRequest(uint64_t id, uint64_t offset, uint64_t length,
@@ -163,13 +152,6 @@ void EncodeGetRangeRequest(uint64_t id, uint64_t offset, uint64_t length,
   Put<uint64_t>(offset, out);
   Put<uint64_t>(length, out);
   CloseFrame(at, opts.crc, out);
-}
-
-void EncodeGetRangeRequest(uint64_t id, uint64_t offset, uint64_t length,
-                           bool crc, std::string* out) {
-  RequestOptions opts;
-  opts.crc = crc;
-  EncodeGetRangeRequest(id, offset, length, opts, out);
 }
 
 void EncodeStatRequest(bool crc, std::string* out) {
@@ -223,12 +205,8 @@ void EncodeStatResponse(const WireStats& stats, bool crc, std::string* out) {
   Put<uint64_t>(stats.cache_erased, out);
   Put<uint64_t>(stats.cache_entries, out);
   Put<uint64_t>(stats.cache_bytes, out);
-  Put<uint64_t>(stats.disk_bytes, out);
-  Put<uint64_t>(stats.disk_seeks, out);
   Put<uint64_t>(stats.archive_docs, out);
-  Put<double>(stats.disk_seconds, out);
   Put<double>(stats.cpu_seconds, out);
-  Put<double>(stats.critical_path_seconds, out);
   Put<double>(stats.latency_p50_us, out);
   Put<double>(stats.latency_p99_us, out);
   Put<double>(stats.latency_p999_us, out);
@@ -442,10 +420,7 @@ Status DecodeResponseBody(MessageType type, uint8_t flags,
           Get(&body, &s.cache_hits) && Get(&body, &s.cache_misses) &&
           Get(&body, &s.cache_evictions) && Get(&body, &s.cache_erased) &&
           Get(&body, &s.cache_entries) && Get(&body, &s.cache_bytes) &&
-          Get(&body, &s.disk_bytes) && Get(&body, &s.disk_seeks) &&
-          Get(&body, &s.archive_docs) && Get(&body, &s.disk_seconds) &&
-          Get(&body, &s.cpu_seconds) &&
-          Get(&body, &s.critical_path_seconds) &&
+          Get(&body, &s.archive_docs) && Get(&body, &s.cpu_seconds) &&
           Get(&body, &s.latency_p50_us) && Get(&body, &s.latency_p99_us) &&
           Get(&body, &s.latency_p999_us) && Get(&body, &s.num_threads) &&
           Get(&body, &s.net_connections_accepted) &&

@@ -123,9 +123,8 @@ struct NetRequest {
   std::vector<uint64_t> ids;
 };
 
-/// Per-request knobs of the v2 encoders. The v1 `bool crc` encoder
-/// signatures survive as wrappers over this (priority normal, no
-/// deadline) — existing call sites encode byte-identical v1 frames.
+/// Per-request knobs of the request encoders. The defaults (no CRC,
+/// priority normal, no deadline) encode byte-identical v1 frames.
 struct RequestOptions {
   /// Append and set the CRC32 trailer (kFlagCrc).
   bool crc = false;
@@ -159,18 +158,10 @@ struct WireStats {
   uint64_t cache_entries = 0;
   /// Decode-cache charged bytes.
   uint64_t cache_bytes = 0;
-  /// Bytes charged to the simulated disks.
-  uint64_t disk_bytes = 0;
-  /// Seeks charged to the simulated disks.
-  uint64_t disk_seeks = 0;
   /// Documents in the served archive (lets a thin client pick ids).
   uint64_t archive_docs = 0;
-  /// Simulated disk seconds.
-  double disk_seconds = 0.0;
   /// Worker thread-CPU seconds.
   double cpu_seconds = 0.0;
-  /// Modeled makespan seconds (DESIGN.md §6).
-  double critical_path_seconds = 0.0;
   /// Request latency p50, microseconds.
   double latency_p50_us = 0.0;
   /// Request latency p99, microseconds.
@@ -257,20 +248,12 @@ struct NetResponse {
 /// Appends a Get request frame for `id` to `*out`.
 void EncodeGetRequest(uint64_t id, const RequestOptions& opts,
                       std::string* out);
-/// As above, v1 shape: CRC only, normal priority, no deadline.
-void EncodeGetRequest(uint64_t id, bool crc, std::string* out);
 /// Appends a MultiGet request frame for `ids[0..n)` to `*out`.
 void EncodeMultiGetRequest(const uint64_t* ids, size_t n,
                            const RequestOptions& opts, std::string* out);
-/// As above, v1 shape.
-void EncodeMultiGetRequest(const uint64_t* ids, size_t n, bool crc,
-                           std::string* out);
 /// Appends a GetRange request frame to `*out`.
 void EncodeGetRangeRequest(uint64_t id, uint64_t offset, uint64_t length,
                            const RequestOptions& opts, std::string* out);
-/// As above, v1 shape.
-void EncodeGetRangeRequest(uint64_t id, uint64_t offset, uint64_t length,
-                           bool crc, std::string* out);
 /// Appends a Stat request frame to `*out`.
 void EncodeStatRequest(bool crc, std::string* out);
 

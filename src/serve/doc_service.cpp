@@ -67,11 +67,10 @@ DocService::DocService(const Archive* archive,
   RLZ_CHECK(archive != nullptr);
   // Queue-per-shard routing: when the archive is sharded, its router maps
   // doc ids to shards, and requests for one shard always land on the same
-  // worker (shard mod pool) — that worker's SimDisk then stays on few
-  // shard devices (fewer simulated seeks) and its decode locality is per
-  // shard. Other archives route by id. The router is re-snapshotted per
-  // submission (the store is live and grows shards); the eviction hook
-  // keeps the decode cache honest across Delete and compaction.
+  // worker (shard mod pool), so its decode locality is per shard. Other
+  // archives route by id. The router is re-snapshotted per submission
+  // (the store is live and grows shards); the eviction hook keeps the
+  // decode cache honest across Delete and compaction.
   if (const auto* sharded = dynamic_cast<const ShardedStore*>(archive)) {
     live_store_ = sharded;
     live_store_->SetEvictionListener(
@@ -91,7 +90,7 @@ DocService::DocService(const Archive* archive,
       static_cast<size_t>(depth * options_.normal_queue_fraction),
       static_cast<size_t>(depth * options_.best_effort_queue_fraction)};
   for (int i = 0; i < num_threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>(options_.disk));
+    workers_.push_back(std::make_unique<Worker>());
     queues_.push_back(std::make_unique<BoundedRequestQueue>(class_caps));
   }
   for (int i = 0; i < num_threads; ++i) {
@@ -415,8 +414,7 @@ bool DocService::ServeResident(const BatchItem& item, bool count_miss,
     return true;
   }
   // A resident full document serves any range without touching the
-  // archive (no disk charge: the cache is memory-resident by
-  // construction).
+  // archive.
   std::string slice;
   if (item.offset < doc->size()) {
     slice.assign(*doc, item.offset,
@@ -505,15 +503,6 @@ void DocService::Execute(const ServeRequest& request, Worker* worker) {
   const double cpu_seconds = ThreadCpuSeconds() - cpu_start;
   worker->cpu_ns.fetch_add(static_cast<uint64_t>(cpu_seconds * 1e9),
                            std::memory_order_relaxed);
-  // Publish the worker-owned SimDisk totals so a mid-flight Stats() reads
-  // a consistent post-request snapshot without stalling the next decode.
-  worker->published_disk_ns.store(
-      static_cast<uint64_t>(worker->disk.total_seconds() * 1e9),
-      std::memory_order_relaxed);
-  worker->published_disk_bytes.store(worker->disk.total_bytes(),
-                                     std::memory_order_relaxed);
-  worker->published_disk_seeks.store(worker->disk.seeks(),
-                                     std::memory_order_relaxed);
   const uint64_t end_ns = NowNs();
   // Feed the admission estimator: EWMA of wall service time. Lost
   // updates under contention are fine — the watermark needs recency, not
@@ -549,10 +538,10 @@ GetResult DocService::DoGet(size_t id, Worker* worker) {
   BatchItem item;
   item.id = id;
   if (ServeResident(item, /*count_miss=*/true, &result)) return result;
-  // Decode runs lock-free: disk and scratch are worker-owned, and cache
+  // Decode runs lock-free: the scratch is worker-owned, and cache
   // admission below synchronizes only inside the cache's own stripe.
   std::string doc;
-  result.status = archive_->Get(id, &doc, &worker->disk, &worker->scratch);
+  result.status = archive_->Get(id, &doc, /*disk=*/nullptr, &worker->scratch);
   if (result.status.ok()) {
     result.text = cache_.Insert(id, std::move(doc));
     // Close the decode-then-insert race against Delete: the decode ran
@@ -582,7 +571,7 @@ GetResult DocService::DoGetRange(size_t id, size_t offset, size_t length,
   // the cache.
   std::string slice;
   result.status = archive_->GetRange(id, offset, length, &slice,
-                                     &worker->disk, &worker->scratch);
+                                     /*disk=*/nullptr, &worker->scratch);
   if (result.status.ok()) {
     result.text = std::make_shared<const std::string>(std::move(slice));
   }
@@ -614,34 +603,19 @@ ServiceStats DocService::Stats() const {
   stats.shed = shed_.load(std::memory_order_relaxed);
   stats.expired = expired_.load(std::memory_order_relaxed);
   // The resident lane: hits answered at admission, on the submitting
-  // threads, modeled as one more core (it has no disk).
+  // threads.
   LatencyHistogram::Snapshot latency;
   resident_lane_.latency.AddTo(&latency);
   stats.requests = resident_lane_.requests.load(std::memory_order_relaxed);
-  stats.cpu_seconds =
-      1e-9 * static_cast<double>(
-                 resident_lane_.cpu_ns.load(std::memory_order_relaxed));
-  stats.critical_path_seconds = stats.cpu_seconds;
+  uint64_t cpu_ns = resident_lane_.cpu_ns.load(std::memory_order_relaxed);
   for (const auto& worker : workers_) {
     stats.requests += worker->requests.load(std::memory_order_relaxed);
     stats.failures += worker->failures.load(std::memory_order_relaxed);
     stats.steals += worker->steals.load(std::memory_order_relaxed);
-    const double disk_seconds =
-        1e-9 * static_cast<double>(
-                   worker->published_disk_ns.load(std::memory_order_relaxed));
-    const double cpu_seconds =
-        1e-9 * static_cast<double>(
-                   worker->cpu_ns.load(std::memory_order_relaxed));
-    stats.disk_seconds += disk_seconds;
-    stats.disk_bytes +=
-        worker->published_disk_bytes.load(std::memory_order_relaxed);
-    stats.disk_seeks +=
-        worker->published_disk_seeks.load(std::memory_order_relaxed);
-    stats.cpu_seconds += cpu_seconds;
-    stats.critical_path_seconds =
-        std::max(stats.critical_path_seconds, cpu_seconds + disk_seconds);
+    cpu_ns += worker->cpu_ns.load(std::memory_order_relaxed);
     worker->latency.AddTo(&latency);
   }
+  stats.cpu_seconds = 1e-9 * static_cast<double>(cpu_ns);
   stats.latency_p50_us = 1e-3 * latency.ValueAtQuantile(0.50);
   stats.latency_p99_us = 1e-3 * latency.ValueAtQuantile(0.99);
   stats.latency_p999_us = 1e-3 * latency.ValueAtQuantile(0.999);

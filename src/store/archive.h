@@ -28,8 +28,9 @@ namespace rlz {
 /// Thread-safety contract (DESIGN.md §6): archives are immutable once
 /// built, and every implementation must support concurrent Get/GetRange
 /// calls. SimDisk itself is unsynchronized accounting, so each concurrent
-/// caller must pass its own SimDisk (or nullptr) — the serving layer gives
-/// every worker thread a private one.
+/// caller must pass its own SimDisk (or nullptr). SimDisk is the paper
+/// tables' cost model: the serving layer runs on wall clock and passes
+/// nullptr.
 class Archive {
  public:
   virtual ~Archive() = default;
@@ -52,7 +53,7 @@ class Archive {
   /// serving allocates nothing per request (DESIGN.md §9). Backends whose
   /// decode needs no scratch simply ignore it. `scratch` is borrowed for
   /// the duration of the call only and must not be shared by concurrent
-  /// callers (one per worker, like SimDisk).
+  /// callers (one per worker thread).
   virtual Status Get(size_t id, std::string* doc, SimDisk* disk,
                      DecodeScratch* scratch) const = 0;
 

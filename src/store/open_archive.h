@@ -22,8 +22,8 @@ struct OpenOptions {
   /// Rebuild dictionary suffix arrays on open. Serving (Get/GetRange)
   /// never consults the suffix array — only factorizing *new* documents
   /// does — so a serving-only reopen should pass false and skip the
-  /// dominant part of the open cost (see bench/serve_throughput's
-  /// restart-cost table).
+  /// dominant part of the open cost (see EXPERIMENTS.md "Restart
+  /// cost").
   bool build_suffix_array = true;
   /// Worker threads for multi-file opens (ShardedStore loads its shards
   /// in parallel). 0 means auto: one thread per shard, capped at the

@@ -3,9 +3,12 @@
 
 // A test archive that pins DocService workers on cue: its decodes of one
 // id block until the test opens the latch, so requests stay in flight
-// (or queued behind the pinned workers) for as long as a test needs.
-// Shared by the serving and network suites.
+// (or queued behind the pinned workers) for as long as a test needs. It
+// also counts every Get/GetRange that reaches it, so a test can assert
+// exactly how often the archive was read (open the latch first when only
+// the count matters). Shared by the serving and network suites.
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -34,14 +37,19 @@ class LatchedArchive : public Archive {
   }
   Status Get(size_t id, std::string* doc, SimDisk* disk,
              DecodeScratch* scratch) const override {
+    decodes_.fetch_add(1);
     Hold(id);
     return base_->Get(id, doc, disk, scratch);
   }
   Status GetRange(size_t id, size_t offset, size_t length, std::string* text,
                   SimDisk* disk, DecodeScratch* scratch) const override {
+    decodes_.fetch_add(1);
     Hold(id);
     return base_->GetRange(id, offset, length, text, disk, scratch);
   }
+
+  // Get/GetRange calls that reached this archive so far.
+  uint64_t decodes() const { return decodes_.load(); }
 
   // Lets every held and future decode of the blocked id through.
   void Open() {
@@ -71,6 +79,7 @@ class LatchedArchive : public Archive {
   mutable std::condition_variable cv_;
   mutable int held_ = 0;
   mutable bool open_ = false;
+  mutable std::atomic<uint64_t> decodes_{0};
 };
 
 }  // namespace rlz

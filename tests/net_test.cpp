@@ -42,6 +42,13 @@ Collection TestCollection(size_t target_bytes, uint64_t seed) {
 // ---------------------------------------------------------------------------
 // Protocol: encoders against the strict parser.
 
+// Request options with only the CRC flag chosen: the v1 frame shape.
+RequestOptions Crc(bool crc) {
+  RequestOptions opts;
+  opts.crc = crc;
+  return opts;
+}
+
 // Runs one encoded buffer through ParseFrame + DecodeRequestBody.
 Status ParseRequest(const std::string& wire, NetRequest* out) {
   MessageType type;
@@ -72,20 +79,20 @@ TEST(ProtocolTest, RequestRoundTrips) {
     NetRequest req;
 
     wire.clear();
-    EncodeGetRequest(42, crc, &wire);
+    EncodeGetRequest(42, Crc(crc), &wire);
     ASSERT_TRUE(ParseRequest(wire, &req).ok());
     EXPECT_EQ(req.type, MessageType::kGet);
     EXPECT_EQ(req.id, 42u);
 
     wire.clear();
     const std::vector<uint64_t> ids = {0, 7, 1u << 20, ~0ull};
-    EncodeMultiGetRequest(ids.data(), ids.size(), crc, &wire);
+    EncodeMultiGetRequest(ids.data(), ids.size(), Crc(crc), &wire);
     ASSERT_TRUE(ParseRequest(wire, &req).ok());
     EXPECT_EQ(req.type, MessageType::kMultiGet);
     EXPECT_EQ(req.ids, ids);
 
     wire.clear();
-    EncodeGetRangeRequest(9, 100, 400, crc, &wire);
+    EncodeGetRangeRequest(9, 100, 400, Crc(crc), &wire);
     ASSERT_TRUE(ParseRequest(wire, &req).ok());
     EXPECT_EQ(req.type, MessageType::kGetRange);
     EXPECT_EQ(req.id, 9u);
@@ -136,10 +143,12 @@ TEST(ProtocolTest, PriorityAndDeadlineRoundTrip) {
     EXPECT_EQ(req.deadline_ms, 1u);
     EXPECT_EQ(req.ids, ids);
 
-    // The v1 encoders map to normal priority, no deadline — an old
+    // Default options encode a v1 frame — the flags byte carries at most
+    // the CRC bit — which parses as normal priority, no deadline: an old
     // client is indistinguishable from a normal-class one.
     wire.clear();
-    EncodeGetRequest(7, crc, &wire);
+    EncodeGetRequest(7, Crc(crc), &wire);
+    EXPECT_EQ(static_cast<uint8_t>(wire[5]), crc ? kFlagCrc : 0);
     ASSERT_TRUE(ParseRequest(wire, &req).ok());
     EXPECT_EQ(req.priority, RequestPriority::kNormal);
     EXPECT_EQ(req.deadline_ms, 0u);
@@ -239,9 +248,9 @@ TEST(NetClientTest, RetryBackoffPolicy) {
 
 TEST(ProtocolTest, BackToBackFramesParseIndividually) {
   std::string wire;
-  EncodeGetRequest(1, false, &wire);
+  EncodeGetRequest(1, Crc(false), &wire);
   const size_t first = wire.size();
-  EncodeGetRequest(2, true, &wire);
+  EncodeGetRequest(2, Crc(true), &wire);
 
   MessageType type;
   uint8_t flags;
@@ -307,55 +316,101 @@ TEST(ProtocolTest, ResponseRoundTrips) {
     EXPECT_EQ(resp.elements[1].bytes, "no such doc");
     EXPECT_EQ(resp.elements[2].bytes, "");
 
-    // Stat response: every field survives the trip.
+    // Stat response: every field survives the trip, each set to a value
+    // no other field carries so a swapped pair cannot pass.
     wire.clear();
     WireStats stats;
     stats.requests = 101;
-    stats.failures = 2;
-    stats.steals = 3;
-    stats.queued = 4;
-    stats.cache_hits = 5;
-    stats.cache_bytes = 1 << 20;
-    stats.archive_docs = 455;
-    stats.disk_seconds = 0.25;
+    stats.failures = 102;
+    stats.steals = 103;
+    stats.queued = 104;
+    stats.cache_hits = 105;
+    stats.cache_misses = 106;
+    stats.cache_evictions = 107;
+    stats.cache_erased = 108;
+    stats.cache_entries = 109;
+    stats.cache_bytes = 110;
+    stats.archive_docs = 111;
+    stats.cpu_seconds = 0.25;
+    stats.latency_p50_us = 12.5;
     stats.latency_p99_us = 1234.5;
-    stats.num_threads = 8;
-    stats.net_frames_received = 77;
-    stats.net_reads_paused = 6;
-    stats.shed = 21;
-    stats.expired = 22;
-    stats.net_sheds = 23;
-    stats.net_idle_closed = 24;
-    stats.net_header_timeout_closed = 25;
-    stats.net_write_stall_closed = 26;
-    stats.net_high_priority_frames = 27;
-    stats.net_best_effort_frames = 28;
+    stats.latency_p999_us = 4321.75;
+    stats.num_threads = 112;
+    stats.net_connections_accepted = 113;
+    stats.net_connections_active = 114;
+    stats.net_frames_received = 115;
+    stats.net_frames_sent = 116;
+    stats.net_bytes_received = 117;
+    stats.net_bytes_sent = 118;
+    stats.net_batches = 119;
+    stats.net_coalesced_requests = 120;
+    stats.net_reads_paused = 121;
+    stats.net_protocol_errors = 122;
+    stats.shed = 123;
+    stats.expired = 124;
+    stats.net_sheds = 125;
+    stats.net_idle_closed = 126;
+    stats.net_header_timeout_closed = 127;
+    stats.net_write_stall_closed = 128;
+    stats.net_high_priority_frames = 129;
+    stats.net_best_effort_frames = 130;
     EncodeStatResponse(stats, crc, &wire);
     ASSERT_EQ(ParseFrame(wire, &type, &flags, &body, &consumed, &error),
               ParseResult::kFrame);
     ASSERT_TRUE(DecodeResponseBody(type, flags, body, &resp).ok());
     EXPECT_TRUE(resp.ok());
-    EXPECT_EQ(resp.stats.requests, 101u);
-    EXPECT_EQ(resp.stats.failures, 2u);
-    EXPECT_EQ(resp.stats.steals, 3u);
-    EXPECT_EQ(resp.stats.queued, 4u);
-    EXPECT_EQ(resp.stats.cache_hits, 5u);
-    EXPECT_EQ(resp.stats.cache_bytes, 1u << 20);
-    EXPECT_EQ(resp.stats.archive_docs, 455u);
-    EXPECT_DOUBLE_EQ(resp.stats.disk_seconds, 0.25);
-    EXPECT_DOUBLE_EQ(resp.stats.latency_p99_us, 1234.5);
-    EXPECT_EQ(resp.stats.num_threads, 8u);
-    EXPECT_EQ(resp.stats.net_frames_received, 77u);
-    EXPECT_EQ(resp.stats.net_reads_paused, 6u);
-    EXPECT_EQ(resp.stats.shed, 21u);
-    EXPECT_EQ(resp.stats.expired, 22u);
-    EXPECT_EQ(resp.stats.net_sheds, 23u);
-    EXPECT_EQ(resp.stats.net_idle_closed, 24u);
-    EXPECT_EQ(resp.stats.net_header_timeout_closed, 25u);
-    EXPECT_EQ(resp.stats.net_write_stall_closed, 26u);
-    EXPECT_EQ(resp.stats.net_high_priority_frames, 27u);
-    EXPECT_EQ(resp.stats.net_best_effort_frames, 28u);
+    const WireStats& got = resp.stats;
+    EXPECT_EQ(got.requests, 101u);
+    EXPECT_EQ(got.failures, 102u);
+    EXPECT_EQ(got.steals, 103u);
+    EXPECT_EQ(got.queued, 104u);
+    EXPECT_EQ(got.cache_hits, 105u);
+    EXPECT_EQ(got.cache_misses, 106u);
+    EXPECT_EQ(got.cache_evictions, 107u);
+    EXPECT_EQ(got.cache_erased, 108u);
+    EXPECT_EQ(got.cache_entries, 109u);
+    EXPECT_EQ(got.cache_bytes, 110u);
+    EXPECT_EQ(got.archive_docs, 111u);
+    EXPECT_DOUBLE_EQ(got.cpu_seconds, 0.25);
+    EXPECT_DOUBLE_EQ(got.latency_p50_us, 12.5);
+    EXPECT_DOUBLE_EQ(got.latency_p99_us, 1234.5);
+    EXPECT_DOUBLE_EQ(got.latency_p999_us, 4321.75);
+    EXPECT_EQ(got.num_threads, 112u);
+    EXPECT_EQ(got.net_connections_accepted, 113u);
+    EXPECT_EQ(got.net_connections_active, 114u);
+    EXPECT_EQ(got.net_frames_received, 115u);
+    EXPECT_EQ(got.net_frames_sent, 116u);
+    EXPECT_EQ(got.net_bytes_received, 117u);
+    EXPECT_EQ(got.net_bytes_sent, 118u);
+    EXPECT_EQ(got.net_batches, 119u);
+    EXPECT_EQ(got.net_coalesced_requests, 120u);
+    EXPECT_EQ(got.net_reads_paused, 121u);
+    EXPECT_EQ(got.net_protocol_errors, 122u);
+    EXPECT_EQ(got.shed, 123u);
+    EXPECT_EQ(got.expired, 124u);
+    EXPECT_EQ(got.net_sheds, 125u);
+    EXPECT_EQ(got.net_idle_closed, 126u);
+    EXPECT_EQ(got.net_header_timeout_closed, 127u);
+    EXPECT_EQ(got.net_write_stall_closed, 128u);
+    EXPECT_EQ(got.net_high_priority_frames, 129u);
+    EXPECT_EQ(got.net_best_effort_frames, 130u);
   }
+}
+
+TEST(ProtocolTest, StatVersion2BodyIsRejected) {
+  // A well-formed version-2 Stat body: status byte, version byte, then
+  // the v2 layout — 13 u64 counters (disk bytes/seeks among them), six
+  // doubles (disk seconds and critical path among them), the u32 thread
+  // count and 18 u64 network/overload counters. A v3 reader must refuse
+  // it outright rather than misread the shifted fields.
+  std::string body;
+  body.push_back(static_cast<char>(WireCode::kOk));
+  body.push_back(2);
+  body.append(13 * 8 + 6 * 8 + 4 + 18 * 8, '\0');
+  NetResponse resp;
+  const Status status =
+      DecodeResponseBody(MessageType::kStat, 0, body, &resp);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ProtocolTest, EveryTruncationIsNeedMoreNeverError) {
@@ -366,13 +421,13 @@ TEST(ProtocolTest, EveryTruncationIsNeedMoreNeverError) {
   const std::vector<uint64_t> ids = {1, 2, 3};
   for (const bool crc : {false, true}) {
     wire.clear();
-    EncodeGetRequest(7, crc, &wire);
+    EncodeGetRequest(7, Crc(crc), &wire);
     frames.push_back(wire);
     wire.clear();
-    EncodeMultiGetRequest(ids.data(), ids.size(), crc, &wire);
+    EncodeMultiGetRequest(ids.data(), ids.size(), Crc(crc), &wire);
     frames.push_back(wire);
     wire.clear();
-    EncodeGetRangeRequest(7, 8, 9, crc, &wire);
+    EncodeGetRangeRequest(7, 8, 9, Crc(crc), &wire);
     frames.push_back(wire);
     wire.clear();
     EncodeStatRequest(crc, &wire);
@@ -418,7 +473,7 @@ TEST(ProtocolTest, MalformedFramesAreErrorsNotCrashes) {
             ParseResult::kError);
   // Corrupted CRC: flip one payload byte of a valid CRC'd frame.
   std::string wire;
-  EncodeGetRequest(7, /*crc=*/true, &wire);
+  EncodeGetRequest(7, Crc(true), &wire);
   wire[8] ^= 0x01;
   EXPECT_EQ(ParseOnly(wire), ParseResult::kError);
 }

@@ -280,10 +280,12 @@ TEST(DocServiceTest, GetReturnsEveryDocument) {
   ShardedStoreOptions store_options;
   store_options.num_shards = 2;
   auto store = ShardedStore::Build(collection, store_options);
+  LatchedArchive archive(store.get());
+  archive.Open();  // counting only
   DocServiceOptions options;
   options.num_threads = 4;
   options.cache_bytes = 8 << 20;
-  DocService service(store.get(), options);
+  DocService service(&archive, options);
   for (size_t i = 0; i < collection.num_docs(); ++i) {
     GetResult result = service.Get(i).get();
     ASSERT_TRUE(result.ok()) << result.status.ToString();
@@ -292,7 +294,8 @@ TEST(DocServiceTest, GetReturnsEveryDocument) {
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.requests, collection.num_docs());
   EXPECT_EQ(stats.failures, 0u);
-  EXPECT_GT(stats.disk_bytes, 0u);  // misses were charged to worker disks
+  // Each id was requested once, so each was a miss decoded once.
+  EXPECT_EQ(archive.decodes(), collection.num_docs());
 }
 
 TEST(DocServiceTest, RepeatTrafficHitsTheCache) {
@@ -384,9 +387,6 @@ TEST(DocServiceTest, DrainWaitsForSubmittedWork) {
   EXPECT_EQ(stats.requests, 3 * collection.num_docs());
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
   EXPECT_GT(stats.cpu_seconds, 0.0);
-  // The makespan can never exceed all workers' CPU plus all disks' time.
-  EXPECT_LE(stats.critical_path_seconds,
-            stats.cpu_seconds + stats.disk_seconds + 1e-9);
 }
 
 // ---------------------------------------------------------------------------
@@ -394,7 +394,8 @@ TEST(DocServiceTest, DrainWaitsForSubmittedWork) {
 // admission, load shedding, and deadline expiry.
 
 TEST(RequestQueueTest, StrictPriorityPopOrder) {
-  BoundedRequestQueue queue(/*capacity=*/8);
+  const size_t caps[kNumPriorities] = {8, 8, 8};
+  BoundedRequestQueue queue(caps);
   ServeRequest request;
   // Enqueue in worst-case order: best-effort first, high last.
   request.id = 1;
@@ -446,9 +447,11 @@ TEST(RequestQueueTest, ClassCapsKeepHighHeadroom) {
 TEST(DocServiceTest, ExpiredDeadlineCompletesWithoutDecoding) {
   const Collection collection = TestCollection(1 << 18, 87);
   auto store = ShardedStore::Build(collection, {});
-  DocService service(store.get(), {});
+  LatchedArchive archive(store.get());
+  archive.Open();  // counting only
+  DocService service(&archive, {});
   // A deadline already in the past: every request must complete
-  // kDeadlineExceeded at admission, with zero decode work charged.
+  // kDeadlineExceeded at admission, without a decode.
   std::vector<BatchItem> items(8);
   for (size_t i = 0; i < items.size(); ++i) {
     items[i].id = i;
@@ -463,8 +466,8 @@ TEST(DocServiceTest, ExpiredDeadlineCompletesWithoutDecoding) {
   }
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.expired, items.size());
-  EXPECT_EQ(stats.disk_bytes, 0u);       // no archive reads
-  EXPECT_EQ(stats.cache.misses, 0u);     // no cache traffic either
+  EXPECT_EQ(archive.decodes(), 0u);   // no archive reads
+  EXPECT_EQ(stats.cache.misses, 0u);  // no cache traffic either
   // The service is not poisoned: a fresh request without a deadline works.
   GetResult good = service.Get(0).get();
   ASSERT_TRUE(good.ok());
@@ -480,15 +483,18 @@ TEST(DocServiceTest, ResidentIdsCompleteAtAdmissionOnTheSubmittingThread) {
   ShardedStoreOptions store_options;
   store_options.num_shards = 4;
   auto store = ShardedStore::Build(collection, store_options);
+  LatchedArchive archive(store.get());
+  archive.Open();  // counting only
   DocServiceOptions options;
   options.num_threads = 4;
   options.cache_bytes = 32 << 20;  // everything fits
-  DocService service(store.get(), options);
+  DocService service(&archive, options);
   std::vector<size_t> warm(collection.num_docs());
   for (size_t i = 0; i < warm.size(); ++i) warm[i] = i;
   service.MultiGet(warm);  // every document is now resident
   service.Drain();
   const ServiceStats before = service.Stats();
+  const uint64_t decodes_before = archive.decodes();
 
   // Mixed whole-document and range items, all resident.
   std::vector<BatchItem> items;
@@ -529,10 +535,8 @@ TEST(DocServiceTest, ResidentIdsCompleteAtAdmissionOnTheSubmittingThread) {
   EXPECT_EQ(after.steals, before.steals);  // nothing was queued to steal
   EXPECT_EQ(after.cache.hits, before.cache.hits + served);
   EXPECT_EQ(after.cache.misses, before.cache.misses);
-  EXPECT_EQ(after.disk_bytes, before.disk_bytes);
+  EXPECT_EQ(archive.decodes(), decodes_before);  // no archive reads
   EXPECT_GT(after.cpu_seconds, before.cpu_seconds);  // the hits' CPU
-  EXPECT_LE(after.critical_path_seconds,
-            after.cpu_seconds + after.disk_seconds + 1e-9);
 }
 
 TEST(DocServiceTest, AdmissionRunsExpiryAndShedBeforeTheCache) {
@@ -740,18 +744,16 @@ TEST(ConcurrencyTest, ShardedStoreConcurrentGetsAreByteExact) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t]() {
       Rng rng(7000 + t);
-      SimDisk disk;
       std::string doc;
       std::string slice;
       for (int i = 0; i < kIters; ++i) {
         const size_t id = rng.Next() % collection.num_docs();
-        if (!store->Get(id, &doc, &disk).ok() ||
-            doc != collection.doc(id)) {
+        if (!store->Get(id, &doc).ok() || doc != collection.doc(id)) {
           mismatches.fetch_add(1);
           continue;
         }
         // Exercise the snippet path concurrently as well.
-        if (!store->GetRange(id, 16, 64, &slice, &disk).ok() ||
+        if (!store->GetRange(id, 16, 64, &slice).ok() ||
             slice != collection.doc(id).substr(
                          std::min<size_t>(16, collection.doc(id).size()),
                          64)) {
@@ -782,20 +784,19 @@ TEST(ConcurrencyTest, ShardedStorePerWorkerScratchIsByteExact) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t]() {
       Rng rng(11000 + t);
-      SimDisk disk;          // per-thread, per the Archive contract
       DecodeScratch scratch;  // per-thread, reused across all requests
       std::string doc;
       std::string slice;
       for (int i = 0; i < kIters; ++i) {
         const size_t id = rng.Next() % collection.num_docs();
-        if (!store->Get(id, &doc, &disk, &scratch).ok() ||
+        if (!store->Get(id, &doc, nullptr, &scratch).ok() ||
             doc != collection.doc(id)) {
           mismatches.fetch_add(1);
           continue;
         }
         const std::string_view text = collection.doc(id);
         const size_t offset = rng.Next() % (text.size() + 1);
-        if (!store->GetRange(id, offset, 48, &slice, &disk, &scratch).ok() ||
+        if (!store->GetRange(id, offset, 48, &slice, nullptr, &scratch).ok() ||
             slice != (offset < text.size() ? text.substr(offset, 48)
                                            : std::string_view())) {
           mismatches.fetch_add(1);
