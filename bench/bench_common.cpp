@@ -1,5 +1,6 @@
 #include "bench_common.h"
 
+#include <sched.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -102,6 +103,14 @@ std::string JsonEscape(const std::string& s) {
 
 }  // namespace
 
+unsigned UsableThreads() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+  return std::thread::hardware_concurrency();
+}
+
 std::string ProvenanceJson(const std::string& commit) {
   char host[256] = {};
   gethostname(host, sizeof(host) - 1);
@@ -116,7 +125,7 @@ std::string ProvenanceJson(const std::string& commit) {
   const char* build = "assertions on";
 #endif
   return "{\"host\": \"" + JsonEscape(host) + "\", \"nproc\": " +
-         std::to_string(std::thread::hardware_concurrency()) +
+         std::to_string(UsableThreads()) +
          ", \"cpu_model\": \"" + JsonEscape(CpuModel()) +
          "\", \"compiler\": \"" + JsonEscape(compiler) +
          "\", \"build\": \"" + build + "\", \"commit\": \"" +

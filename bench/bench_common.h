@@ -70,8 +70,13 @@ Measurement MeasureArchive(const Archive& archive,
                            const Collection& collection,
                            const AccessPatterns& patterns);
 
+/// Hardware threads this process may run on: its CPU affinity mask, which
+/// taskset or a container can narrow below hardware_concurrency().
+unsigned UsableThreads();
+
 /// A JSON object recording where a bench result was measured: host name,
-/// online CPUs (nproc), CPU model, compiler, build type and commit.
+/// usable CPUs (nproc, from UsableThreads), CPU model, compiler, build
+/// type and commit.
 /// `commit` is stamped as given; an empty one is read from
 /// `git rev-parse HEAD` in the working directory, or "unknown".
 std::string ProvenanceJson(const std::string& commit);

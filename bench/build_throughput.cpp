@@ -16,15 +16,31 @@
 // bytes and factor counts must match exactly; full byte-identity is
 // property-tested in tests/build_test.cpp).
 //
+// First, one row per build stage for a single shard of a default
+// 4-shard ShardedStore (a quarter of the corpus, with a dictionary of 1/32
+// of the shard, the perfbench cold-pages ratio of 256 KB per 8 MB shard),
+// serial: dictionary (sample + suffix array), factorize
+// (Factorizer::Factorize) and Z-stream encode (FactorCoder::EncodeDoc with
+// ZV), each the median of three runs in ms and as MB/s of shard text.
+// These name the layer a build-speed change moved (EXPERIMENTS.md
+// "Encode kernels").
+//
 //   ./build/bench/build_throughput            (RLZ_BENCH_SCALE shrinks/grows)
 //   ./build/bench/build_throughput --smoke    (tiny corpus; CI smoke test)
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
+#include "core/dictionary.h"
+#include "core/factor_coder.h"
+#include "core/factorizer.h"
 #include "core/rlz.h"
+#include "serve/sharded_store.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -63,6 +79,76 @@ BuildRun RunOne(const Collection& collection,
   return run;
 }
 
+// Median of three timings of `stage`, in seconds.
+template <typename Stage>
+double MedianOfThree(Stage stage) {
+  double seconds[3];
+  for (double& s : seconds) {
+    Timer timer;
+    stage();
+    s = timer.ElapsedSeconds();
+  }
+  std::sort(seconds, seconds + 3);
+  return seconds[1];
+}
+
+// The per-stage rows for one shard: the first quarter of the collection's
+// documents by bytes, encoded the way ShardedStore::EncodeShard does.
+void PrintStageRows(const Collection& collection) {
+  const ShardedStoreOptions store_defaults;
+  const uint64_t target = collection.size_bytes() /
+                          static_cast<uint64_t>(store_defaults.num_shards);
+  size_t end = 0;
+  while (end < collection.num_docs() && collection.doc_offset(end) < target) {
+    ++end;
+  }
+  const std::string_view shard_text =
+      collection.data().substr(0, collection.doc_offset(end));
+  const size_t dict_bytes = std::max<size_t>(1, shard_text.size() / 32);
+  const double shard_mb = shard_text.size() / (1024.0 * 1024.0);
+
+  std::unique_ptr<Dictionary> dict;
+  const double dict_s = MedianOfThree([&] {
+    dict = DictionaryBuilder::BuildSampled(shard_text, dict_bytes,
+                                           store_defaults.sample_bytes);
+  });
+  std::vector<std::vector<Factor>> factors(end);
+  const double factorize_s = MedianOfThree([&] {
+    Factorizer factorizer(dict.get(), /*track_coverage=*/true);
+    for (size_t i = 0; i < end; ++i) {
+      factors[i].clear();
+      factorizer.Factorize(collection.doc(i), &factors[i]);
+    }
+  });
+  size_t num_factors = 0;
+  for (const auto& f : factors) num_factors += f.size();
+  const FactorCoder coder(kZV);
+  std::string encoded;
+  const double encode_s = MedianOfThree([&] {
+    encoded.clear();
+    for (size_t i = 0; i < end; ++i) {
+      RLZ_CHECK(coder.EncodeDoc(factors[i], &encoded).ok());
+    }
+  });
+
+  std::printf("one shard: %zu docs, %.1f MB, dict %zu KB, %zu factors, "
+              "ZV %.1f KB (median of 3, serial)\n",
+              end, shard_mb, dict_bytes / 1024, num_factors,
+              encoded.size() / 1024.0);
+  std::printf("%-16s %10s %10s\n", "stage", "ms", "MB/s");
+  const struct {
+    const char* name;
+    double seconds;
+  } rows[] = {{"dictionary", dict_s},
+              {"factorize", factorize_s},
+              {"z-stream encode", encode_s}};
+  for (const auto& row : rows) {
+    std::printf("%-16s %10.1f %10.1f\n", row.name, row.seconds * 1e3,
+                shard_mb / row.seconds);
+  }
+  std::printf("\n");
+}
+
 int Run(bool smoke) {
   Collection smoke_collection;
   const Collection* collection = nullptr;
@@ -79,6 +165,7 @@ int Run(bool smoke) {
   std::printf("build_throughput%s: %zu docs, %.1f MB, ZV, dict 1%%\n",
               smoke ? " (smoke)" : "", collection->num_docs(),
               collection->size_bytes() / (1024.0 * 1024.0));
+  PrintStageRows(*collection);
 
   const std::shared_ptr<const Dictionary> dict =
       DictionaryBuilder::BuildSampled(collection->data(),

@@ -1,6 +1,6 @@
 // Micro benchmarks (google-benchmark): throughput of the individual
 // substrates — suffix-array construction, longest-match queries with and
-// without the jump-start table (the Refine acceleration ablation of
+// without the jump-start table (the jump-start table ablation of
 // DESIGN.md §5.1), factorization, the general-purpose compressors, and the
 // integer codecs.
 

@@ -475,7 +475,7 @@ int Run(bool smoke, bool overload, const std::string& out_path) {
     }
   }
 
-  const unsigned hw = std::thread::hardware_concurrency();
+  const unsigned hw = UsableThreads();
   const size_t snippet_requests = smoke ? 3000 : 10000;
   const size_t bulk_requests = smoke ? 400 : 1500;
   std::printf("net_load_bench (%s): %zu docs, %.1f MB, %s, hw=%u, "

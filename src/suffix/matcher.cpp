@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "suffix/suffix_array.h"
+#include "util/common_prefix.h"
 #include "util/logging.h"
 
 namespace rlz {
@@ -20,7 +21,7 @@ SuffixMatcher::SuffixMatcher(std::string_view text, std::vector<int32_t> sa,
     // One pass over the SA: suffixes with equal 2-byte prefixes are
     // contiguous, so record each run. Suffixes of length 1 sort at the
     // start of their first-byte group and are excluded from the table
-    // (Refine handles them via the slow path).
+    // (a one-byte match falls back to a search of the whole array).
     size_t i = 0;
     const size_t n = sa_.size();
     while (i < n) {
@@ -47,87 +48,95 @@ SuffixMatcher::SuffixMatcher(std::string_view text, std::vector<int32_t> sa,
   }
 }
 
-bool SuffixMatcher::Refine(int32_t* lb, int32_t* rb, int32_t offset,
-                           uint8_t c) const {
-  if (*lb > *rb) return false;
-  const int target = c;
-  // Lower bound: first index in [lb, rb] with CharAt >= target.
-  int32_t lo = *lb;
-  int32_t hi = *rb + 1;
-  while (lo < hi) {
-    const int32_t mid = lo + (hi - lo) / 2;
-    if (CharAt(mid, offset) < target) {
-      lo = mid + 1;
+int32_t SuffixMatcher::LowerBound(const uint8_t* p, size_t plen, int32_t l,
+                                  int32_t r, size_t* llcp,
+                                  size_t* rlcp) const {
+  const uint8_t* text = reinterpret_cast<const uint8_t*>(text_.data());
+  const size_t n = text_.size();
+  while (r - l > 1) {
+    const int32_t mid = l + (r - l) / 2;
+    const size_t start = static_cast<size_t>(sa_[mid]);
+    const size_t avail = n - start;
+    const size_t m = CommonPrefixLength(
+        text + start, p, std::min(*llcp, *rlcp), std::min(plen, avail));
+    // The suffix sorts at or after the pattern if it contains the whole
+    // pattern or its first differing byte is larger; a suffix that ends
+    // first sorts before.
+    if (m == plen || (m < avail && text[start + m] > p[m])) {
+      r = mid;
+      *rlcp = m;
     } else {
-      hi = mid;
+      l = mid;
+      *llcp = m;
     }
   }
-  const int32_t new_lb = lo;
-  if (new_lb > *rb || CharAt(new_lb, offset) != target) return false;
-  // Upper bound: first index with CharAt > target.
-  hi = *rb + 1;
-  while (lo < hi) {
-    const int32_t mid = lo + (hi - lo) / 2;
-    if (CharAt(mid, offset) <= target) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  *lb = new_lb;
-  *rb = lo - 1;
-  return true;
+  return r;
 }
 
 Match SuffixMatcher::LongestMatch(std::string_view pattern) const {
   Match m;
   if (pattern.empty() || text_.empty()) return m;
+  const uint8_t* p = reinterpret_cast<const uint8_t*>(pattern.data());
+  size_t plen = pattern.size();
 
-  int32_t lb = 0;
-  int32_t rb = static_cast<int32_t>(sa_.size()) - 1;
-  int32_t j = 0;
-  const int32_t plen = static_cast<int32_t>(pattern.size());
-
-  // Jump-start: resolve the first two characters with one table lookup.
+  // Search interval [lo, hi) of ranks whose suffixes share the first
+  // `known` bytes of the pattern.
+  int32_t lo = 0;
+  int32_t hi = static_cast<int32_t>(sa_.size());
+  size_t known = 0;
   if (has_jump_ && plen >= 2) {
-    const uint32_t key =
-        (static_cast<uint8_t>(pattern[0]) << 8) |
-        static_cast<uint8_t>(pattern[1]);
+    const uint32_t key = (static_cast<uint32_t>(p[0]) << 8) | p[1];
     if (jump_lo_[key] < jump_hi_[key]) {
-      lb = jump_lo_[key];
-      rb = jump_hi_[key] - 1;
-      j = 2;
+      lo = jump_lo_[key];
+      hi = jump_hi_[key];
+      known = 2;
     } else {
-      // No 2-char match; fall back to a single Refine for 1 char.
-      if (!Refine(&lb, &rb, 0, static_cast<uint8_t>(pattern[0]))) return m;
-      m.pos = sa_[lb];
-      m.len = 1;
-      return m;
+      // No suffix starts with these two bytes: at most one byte matches.
+      plen = 1;
     }
   }
 
-  while (j < plen) {
-    if (lb == rb) {
-      // Single candidate: extend by direct comparison (the fast path the
-      // paper's Factor function takes once the interval is unique).
-      const size_t start = static_cast<size_t>(sa_[lb]);
-      while (j < plen && start + j < text_.size() &&
-             text_[start + j] == pattern[j]) {
-        ++j;
+  // The suffixes sharing the most bytes with the pattern sit next to its
+  // insertion point r: rank r - 1 shares llcp bytes, rank r shares rlcp.
+  size_t llcp = known;
+  size_t rlcp = known;
+  const int32_t r = LowerBound(p, plen, lo - 1, hi, &llcp, &rlcp);
+  const size_t left = r > lo ? llcp : 0;
+  const size_t right = r < hi ? rlcp : 0;
+  const size_t len = std::max(left, right);
+  if (len == 0) return m;
+
+  int32_t rank = r;
+  if (left == len) {
+    // Rank r - 1 reaches the longest match; Fig. 1 reports the lowest rank
+    // that does. Runs of suffixes sharing the match are short, so gallop
+    // left from r - 1 for a rank that falls short, then binary-search the
+    // last step.
+    const uint8_t* text = reinterpret_cast<const uint8_t*>(text_.data());
+    auto shared = [&](int32_t i) {
+      const size_t start = static_cast<size_t>(sa_[i]);
+      return CommonPrefixLength(text + start, p, known,
+                                std::min(len, text_.size() - start));
+    };
+    rank = r - 1;
+    int32_t short_rank = lo - 1;  // past the range: shares `known` bytes
+    size_t short_lcp = known;
+    for (int32_t step = 1; rank - step >= lo; step *= 2) {
+      const size_t s = shared(rank - step);
+      if (s < len) {
+        short_rank = rank - step;
+        short_lcp = s;
+        break;
       }
-      break;
+      rank -= step;
     }
-    int32_t nlb = lb;
-    int32_t nrb = rb;
-    if (!Refine(&nlb, &nrb, j, static_cast<uint8_t>(pattern[j]))) break;
-    lb = nlb;
-    rb = nrb;
-    ++j;
+    if (rank - short_rank > 1) {
+      size_t rank_lcp = len;
+      rank = LowerBound(p, len, short_rank, rank, &short_lcp, &rank_lcp);
+    }
   }
-
-  if (j == 0) return m;
-  m.pos = sa_[lb];
-  m.len = j;
+  m.pos = sa_[rank];
+  m.len = static_cast<int32_t>(len);
   return m;
 }
 

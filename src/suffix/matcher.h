@@ -15,14 +15,17 @@ struct Match {
 };
 
 /// Pattern matching over a static text via its suffix array — the engine
-/// behind the paper's Refine function (Fig. 1 / Table 1). Suffixes sharing
-/// a prefix form a contiguous SA interval; Refine narrows the interval by
-/// one character with two binary searches.
+/// behind the paper's Factor function (Fig. 1 / Table 1). Suffixes sharing
+/// a prefix form a contiguous SA interval. The paper narrows that interval
+/// one character at a time (Refine); LongestMatch instead runs one
+/// lower-bound search for the whole pattern that skips the bytes already
+/// known to match (Manber & Myers), and returns the same match (DESIGN.md
+/// §5.1).
 ///
-/// Optionally builds a jump-start table: a dense index over the first
-/// `prefix_bits`-bit packed 2-byte prefixes of suffixes, which replaces the
-/// first two Refine rounds with an O(1) lookup (ablation in
-/// bench/micro_factorize; see DESIGN.md §5.1).
+/// Optionally builds a jump-start table: a dense index over the 2-byte
+/// prefixes of suffixes, which replaces the first two characters of the
+/// search with an O(1) lookup (ablation in bench/micro_bench; see
+/// DESIGN.md §5.1).
 class SuffixMatcher {
  public:
   /// `text` must outlive the matcher. If `sa` is empty it is built here.
@@ -30,28 +33,25 @@ class SuffixMatcher {
                          std::vector<int32_t> sa = {},
                          bool build_jump_table = true);
 
-  /// The paper's Refine(lb, rb, offset, c): narrows [*lb, *rb] (inclusive
-  /// SA index interval whose suffixes share the first `offset` characters)
-  /// to those whose character at `offset` equals `c`. Returns false and
-  /// leaves the bounds invalid if no suffix qualifies.
-  bool Refine(int32_t* lb, int32_t* rb, int32_t offset, uint8_t c) const;
-
-  /// Longest prefix of `pattern` occurring anywhere in the text. Greedy,
-  /// leftmost-lowest SA entry wins, exactly as Fig. 1 returns SA[lb].
+  /// Longest prefix of `pattern` occurring anywhere in the text, at the
+  /// lowest SA rank among the suffixes that share it — exactly the SA[lb]
+  /// Fig. 1 returns. Factor positions are archive bytes, so this tie rule
+  /// is part of the format.
   Match LongestMatch(std::string_view pattern) const;
 
   std::string_view text() const { return text_; }
   const std::vector<int32_t>& sa() const { return sa_; }
 
  private:
-  // Character of suffix sa_[i] at distance `offset`, or -1 if the suffix is
-  // shorter than offset+1. -1 sorts before every real character, matching
-  // lexicographic suffix order.
-  int CharAt(int32_t i, int32_t offset) const {
-    const size_t p = static_cast<size_t>(sa_[i]) + offset;
-    if (p >= text_.size()) return -1;
-    return static_cast<uint8_t>(text_[p]);
-  }
+  // First SA rank in (l, r) whose suffix is >= the first `plen` bytes of
+  // `p`, or r if none. Ranks l and r may be one past either end of the
+  // range searched; *llcp and *rlcp are the number of leading bytes the
+  // suffixes at l and r share with `p` (for an end past the range: bytes
+  // every suffix in between shares). Each comparison starts at the
+  // smaller of the two, since every suffix between l and r shares it. On
+  // return they describe the final neighbours of the returned rank.
+  int32_t LowerBound(const uint8_t* p, size_t plen, int32_t l, int32_t r,
+                     size_t* llcp, size_t* rlcp) const;
 
   std::string_view text_;
   std::vector<int32_t> sa_;

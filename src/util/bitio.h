@@ -12,6 +12,9 @@ namespace rlz {
 
 /// Appends bit fields to a byte buffer, LSB-first within each byte (the
 /// deflate convention). Used by the Huffman and range-coder back ends.
+/// Bits collect in a 64-bit accumulator and reach the buffer as whole
+/// bytes, several at a time, so the buffer holds the stream only after
+/// Finish.
 class BitWriter {
  public:
   explicit BitWriter(std::string* out) : out_(out) {}
@@ -20,18 +23,16 @@ class BitWriter {
   void WriteBits(uint64_t bits, int nbits) {
     RLZ_DCHECK(nbits >= 0 && nbits <= 57);
     RLZ_DCHECK(nbits == 64 || (bits >> nbits) == 0);
+    // After a flush at most 7 bits are pending, so the field fits.
+    if (filled_ + nbits >= 64) FlushBytes();
     acc_ |= bits << filled_;
     filled_ += nbits;
-    while (filled_ >= 8) {
-      out_->push_back(static_cast<char>(acc_ & 0xFF));
-      acc_ >>= 8;
-      filled_ -= 8;
-    }
   }
 
   /// Flushes any partial byte (zero-padded). Must be called exactly once,
   /// at the end of the stream.
   void Finish() {
+    FlushBytes();
     if (filled_ > 0) {
       out_->push_back(static_cast<char>(acc_ & 0xFF));
       acc_ = 0;
@@ -40,9 +41,19 @@ class BitWriter {
   }
 
   /// Total bits written so far (excluding padding).
-  size_t bit_count() const { return out_->size() * 8 - (8 - filled_) % 8; }
+  size_t bit_count() const { return out_->size() * 8 + filled_; }
 
  private:
+  // Moves every whole pending byte to the buffer, leaving < 8 bits.
+  void FlushBytes() {
+    const int bytes = filled_ >> 3;
+    char buf[8];
+    for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>(acc_ >> (8 * i));
+    out_->append(buf, static_cast<size_t>(bytes));
+    acc_ = bytes == 8 ? 0 : acc_ >> (8 * bytes);
+    filled_ -= 8 * bytes;
+  }
+
   std::string* out_;
   uint64_t acc_ = 0;
   int filled_ = 0;

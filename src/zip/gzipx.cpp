@@ -7,6 +7,7 @@
 
 #include "codecs/int_codecs.h"
 #include "util/bitio.h"
+#include "util/common_prefix.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 #include "zip/huffman.h"
@@ -39,27 +40,54 @@ constexpr std::array<int, 30> kDistExtra = {0, 0, 0,  0,  1,  1,  2,  2,  3, 3,
                                             4, 4, 5,  5,  6,  6,  7,  7,  8, 8,
                                             9, 9, 10, 10, 11, 11, 12, 12, 13, 13};
 
+// Slot of every match length, indexed by len - kMinMatch.
+constexpr std::array<uint8_t, 256> kLenSlot = [] {
+  std::array<uint8_t, 256> table{};
+  int slot = 0;
+  for (int len = 3; len <= 258; ++len) {
+    while (slot < 28 && len >= kLenBase[slot + 1]) ++slot;
+    table[len - 3] = static_cast<uint8_t>(slot);
+  }
+  return table;
+}();
+
+// Slot of every distance, deflate style: indexed by dist - 1 below 256,
+// and by 256 + ((dist - 1) >> 7) above, where every slot base is a
+// multiple of 128 plus one.
+constexpr std::array<uint8_t, 512> kDistSlot = [] {
+  std::array<uint8_t, 512> table{};
+  int slot = 0;
+  for (int dist = 1; dist <= 256; ++dist) {
+    while (slot < 29 && dist >= kDistBase[slot + 1]) ++slot;
+    table[dist - 1] = static_cast<uint8_t>(slot);
+  }
+  for (int hi = 2; hi < 256; ++hi) {
+    const int dist = hi * 128 + 1;
+    while (slot < 29 && dist >= kDistBase[slot + 1]) ++slot;
+    table[256 + hi] = static_cast<uint8_t>(slot);
+  }
+  return table;
+}();
+
 int LengthSlot(int len) {
   RLZ_DCHECK(len >= GzipxCompressor::kMinMatch &&
              len <= GzipxCompressor::kMaxMatch);
-  // Linear scan over 29 slots is fine: called once per match token.
-  for (int i = 28; i >= 0; --i) {
-    if (len >= kLenBase[i]) return i;
-  }
-  return 0;
+  return kLenSlot[len - GzipxCompressor::kMinMatch];
 }
 
 int DistSlot(int dist) {
-  for (int i = 29; i >= 0; --i) {
-    if (dist >= kDistBase[i]) return i;
-  }
-  return 0;
+  RLZ_DCHECK(dist >= 1 && dist <= GzipxCompressor::kWindowSize);
+  const int slot =
+      dist <= 256 ? kDistSlot[dist - 1] : kDistSlot[256 + ((dist - 1) >> 7)];
+  RLZ_DCHECK(dist >= kDistBase[slot] &&
+             (slot == 29 || dist < kDistBase[slot + 1]));
+  return slot;
 }
 
 struct Token {
   uint16_t len_or_lit;  // literal byte if dist == 0, else match length
-  uint16_t dist;        // 0 for literal; match distance otherwise... 16 bits
-                        // cannot hold 32768, so store dist - 1.
+  uint16_t dist;        // 0 for a literal, else the match distance
+                        // (1..32768)
 };
 
 uint32_t HashAt(const uint8_t* p) {
@@ -70,15 +98,40 @@ uint32_t HashAt(const uint8_t* p) {
   return (v * kHashMul) >> (32 - kHashBits);
 }
 
+// Per-thread encoder state that survives calls: the hash heads (all -1
+// between calls; each call resets only the slots it may have set), the
+// chain links (written before they are read, so never cleared), the
+// token list and the block buffer. Per-document factor streams are
+// mostly a few KB, where building fresh tables dominated the encode.
+struct EncodeScratch {
+  std::vector<int32_t> head = std::vector<int32_t>(1 << kHashBits, -1);
+  std::vector<int32_t> prev;
+  std::vector<Token> tokens;
+  std::string block;
+};
+
+// After an input above this many bytes, the chain links and tokens are
+// released, so a thread does not keep a huge one-off input's tables
+// alive.
+constexpr size_t kMaxScratchInput = 1 << 20;
+
+EncodeScratch& ThreadScratch() {
+  thread_local EncodeScratch scratch;
+  return scratch;
+}
+
 // LZ77 tokenizer with hash chains and optional one-step lazy matching.
+// `head` must hold -1 in every slot, and does again on return.
 void Tokenize(std::string_view in, const GzipxOptions& options,
+              std::vector<int32_t>* head_table,
+              std::vector<int32_t>* prev_links,
               std::vector<Token>* tokens) {
   const uint8_t* data = reinterpret_cast<const uint8_t*>(in.data());
   const size_t n = in.size();
   tokens->reserve(n / 4);
-
-  std::vector<int32_t> head(1 << kHashBits, -1);
-  std::vector<int32_t> prev(n, -1);
+  int32_t* head = head_table->data();
+  if (prev_links->size() < n) prev_links->resize(n);
+  int32_t* prev = prev_links->data();
 
   auto insert = [&](size_t pos) {
     if (pos + 4 > n) return;
@@ -106,8 +159,8 @@ void Tokenize(std::string_view in, const GzipxOptions& options,
         cand = prev[cand];
         continue;
       }
-      size_t l = 0;
-      while (l < max_len && data[cand + l] == data[pos + l]) ++l;
+      const size_t l =
+          CommonPrefixLength(data + cand, data + pos, 0, max_len);
       if (static_cast<int>(l) > best_len) {
         best_len = static_cast<int>(l);
         best_dist = static_cast<int>(dist);
@@ -156,6 +209,16 @@ void Tokenize(std::string_view in, const GzipxOptions& options,
       ++pos;
     }
   }
+
+  // Leave every head slot at -1 again. Rehashing the positions that may
+  // have been inserted beats refilling the whole table for small inputs,
+  // which are most of the factor coder's streams.
+  if (n < 4) return;
+  if (n - 3 <= head_table->size() / 4) {
+    for (size_t p = 0; p + 4 <= n; ++p) head[HashAt(data + p)] = -1;
+  } else {
+    std::fill(head_table->begin(), head_table->end(), -1);
+  }
 }
 
 }  // namespace
@@ -166,13 +229,17 @@ void GzipxCompressor::Compress(std::string_view in, std::string* out) const {
   out->push_back(static_cast<char>(kMagic));
   VByteCodec::Put(static_cast<uint32_t>(in.size()), out);
 
-  std::vector<Token> tokens;
-  Tokenize(in, options_, &tokens);
+  EncodeScratch& scratch = ThreadScratch();
+  std::vector<Token>& tokens = scratch.tokens;
+  tokens.clear();
+  Tokenize(in, options_, &scratch.head, &scratch.prev, &tokens);
 
+  std::string& block = scratch.block;
+  std::vector<uint64_t> lit_freq(kNumLitLen);
+  std::vector<uint64_t> dist_freq(kNumDist);
   size_t tok_i = 0;
   size_t in_off = 0;
-  while (tok_i < tokens.size() || (in.empty() && tok_i == 0)) {
-    if (in.empty()) break;
+  while (tok_i < tokens.size()) {
     const size_t tok_end = std::min(tokens.size(), tok_i + kTokensPerBlock);
     // Uncompressed span covered by this token chunk.
     size_t span = 0;
@@ -181,10 +248,10 @@ void GzipxCompressor::Compress(std::string_view in, std::string* out) const {
     }
 
     // Huffman-encode the chunk into a scratch buffer.
-    std::string block;
+    block.clear();
     {
-      std::vector<uint64_t> lit_freq(kNumLitLen, 0);
-      std::vector<uint64_t> dist_freq(kNumDist, 0);
+      std::fill(lit_freq.begin(), lit_freq.end(), 0);
+      std::fill(dist_freq.begin(), dist_freq.end(), 0);
       for (size_t t = tok_i; t < tok_end; ++t) {
         const Token& tk = tokens[t];
         if (tk.dist == 0) {
@@ -205,6 +272,8 @@ void GzipxCompressor::Compress(std::string_view in, std::string* out) const {
       HuffmanEncoder lit_enc(lit_lens);
       HuffmanEncoder dist_enc(dist_lens);
 
+      // At most 48 bits per token (see Decompress) plus the length tables.
+      block.reserve((tok_end - tok_i) * 6 + (kNumLitLen + kNumDist) / 2 + 8);
       BitWriter bw(&block);
       for (uint8_t l : lit_lens) bw.WriteBits(l, 4);
       for (uint8_t l : dist_lens) bw.WriteBits(l, 4);
@@ -213,12 +282,20 @@ void GzipxCompressor::Compress(std::string_view in, std::string* out) const {
         if (tk.dist == 0) {
           lit_enc.Write(&bw, tk.len_or_lit);
         } else {
+          // The four fields of a match (<= 48 bits) in one write.
           const int ls = LengthSlot(tk.len_or_lit);
-          lit_enc.Write(&bw, 257 + ls);
-          bw.WriteBits(tk.len_or_lit - kLenBase[ls], kLenExtra[ls]);
           const int ds = DistSlot(tk.dist);
-          dist_enc.Write(&bw, ds);
-          bw.WriteBits(tk.dist - kDistBase[ds], kDistExtra[ds]);
+          const int lit_bits = lit_enc.length(257 + ls);
+          const int len_bits = lit_bits + kLenExtra[ls];
+          const int dist_bits = len_bits + dist_enc.length(ds);
+          RLZ_DCHECK(lit_bits > 0 && dist_bits > len_bits);
+          const uint64_t len_extra = tk.len_or_lit - kLenBase[ls];
+          const uint64_t dist_extra = tk.dist - kDistBase[ds];
+          const uint64_t fields =
+              lit_enc.code(257 + ls) | (len_extra << lit_bits) |
+              (static_cast<uint64_t>(dist_enc.code(ds)) << len_bits) |
+              (dist_extra << dist_bits);
+          bw.WriteBits(fields, dist_bits + kDistExtra[ds]);
         }
       }
       bw.Finish();
@@ -237,6 +314,10 @@ void GzipxCompressor::Compress(std::string_view in, std::string* out) const {
     }
     in_off += span;
     tok_i = tok_end;
+  }
+  if (in.size() > kMaxScratchInput) {
+    std::vector<int32_t>().swap(scratch.prev);
+    std::vector<Token>().swap(scratch.tokens);
   }
 
   const uint32_t crc = Crc32(in);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <queue>
 
 namespace rlz {
 namespace {
@@ -32,60 +31,81 @@ std::vector<uint8_t> BuildHuffmanCodeLengths(const std::vector<uint64_t>& freqs,
   const size_t n = freqs.size();
   std::vector<uint8_t> lengths(n, 0);
 
-  std::vector<size_t> used;
+  // Used symbols, sorted by (frequency, symbol).
+  struct Leaf {
+    uint64_t freq;
+    uint32_t symbol;
+  };
+  std::vector<Leaf> leaves;
+  uint64_t max_freq = 0;
   for (size_t s = 0; s < n; ++s) {
-    if (freqs[s] > 0) used.push_back(s);
+    if (freqs[s] > 0) {
+      leaves.push_back({freqs[s], static_cast<uint32_t>(s)});
+      max_freq = std::max(max_freq, freqs[s]);
+    }
   }
-  if (used.empty()) return lengths;
-  if (used.size() == 1) {
-    lengths[used[0]] = 1;
+  const size_t u = leaves.size();
+  if (u == 0) return lengths;
+  if (u == 1) {
+    lengths[leaves[0].symbol] = 1;
     return lengths;
   }
-
-  // Standard Huffman tree construction over the used symbols.
-  struct Node {
-    uint64_t freq;
-    int32_t left;   // node index or -1
-    int32_t right;  // node index, or symbol index when left == -1
-  };
-  std::vector<Node> nodes;
-  nodes.reserve(2 * used.size());
-  using QEntry = std::pair<uint64_t, int32_t>;  // (freq, node index)
-  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
-  for (size_t i = 0; i < used.size(); ++i) {
-    nodes.push_back({freqs[used[i]], -1, static_cast<int32_t>(i)});
-    pq.emplace(nodes.back().freq, static_cast<int32_t>(nodes.size() - 1));
-  }
-  while (pq.size() > 1) {
-    const auto [fa, a] = pq.top();
-    pq.pop();
-    const auto [fb, b] = pq.top();
-    pq.pop();
-    nodes.push_back({fa + fb, a, b});
-    pq.emplace(fa + fb, static_cast<int32_t>(nodes.size() - 1));
-  }
-
-  // Depth-first traversal to collect raw depths per used symbol.
-  std::vector<int> depth(used.size(), 0);
+  // LSD radix sort on the frequency bytes in use: stable, so equal
+  // frequencies stay in symbol order, and free of the data-dependent
+  // branches a comparison sort mispredicts on real frequency tables.
   {
-    std::vector<std::pair<int32_t, int>> stack;  // (node, depth)
-    stack.emplace_back(static_cast<int32_t>(nodes.size() - 1), 0);
-    while (!stack.empty()) {
-      const auto [idx, d] = stack.back();
-      stack.pop_back();
-      const Node& nd = nodes[idx];
-      if (nd.left == -1) {
-        depth[nd.right] = std::max(d, 1);
-      } else {
-        stack.emplace_back(nd.left, d + 1);
-        stack.emplace_back(nd.right, d + 1);
+    std::vector<Leaf> sorted(u);
+    for (int shift = 0; shift < 64 && (max_freq >> shift) != 0; shift += 8) {
+      size_t start[257] = {};
+      for (const Leaf& leaf : leaves) {
+        ++start[((leaf.freq >> shift) & 0xFF) + 1];
       }
+      for (int b = 0; b < 256; ++b) start[b + 1] += start[b];
+      for (const Leaf& leaf : leaves) {
+        sorted[start[(leaf.freq >> shift) & 0xFF]++] = leaf;
+      }
+      leaves.swap(sorted);
     }
   }
 
+  // Huffman's merge with two queues instead of a heap: the sorted leaves,
+  // and the internal nodes, which are created in (frequency, creation)
+  // order. Popping the smaller front, a leaf on a frequency tie, takes
+  // nodes in exactly the (frequency, node index) order of a min-heap that
+  // numbers leaves by symbol and internal nodes after them, so the tree —
+  // and every depth — is the heap's.
+  std::vector<uint64_t> node_freq(u - 1);
+  // Parent of each node: leaves 0..u-1 in sorted order, then the internal
+  // nodes u..2u-2 in creation order; the root is the last.
+  std::vector<uint32_t> parent(2 * u - 1);
+  size_t next_leaf = 0;
+  size_t next_node = 0;
+  size_t created = 0;
+  auto take = [&]() -> uint32_t {
+    if (next_leaf < u && (next_node == created ||
+                          leaves[next_leaf].freq <= node_freq[next_node])) {
+      return static_cast<uint32_t>(next_leaf++);
+    }
+    return static_cast<uint32_t>(u + next_node++);
+  };
+  auto freq_of = [&](uint32_t node) {
+    return node < u ? leaves[node].freq : node_freq[node - u];
+  };
+  for (size_t k = 0; k + 1 < u; ++k) {
+    const uint32_t a = take();
+    const uint32_t b = take();
+    node_freq[k] = freq_of(a) + freq_of(b);
+    parent[a] = parent[b] = static_cast<uint32_t>(u + k);
+    ++created;
+  }
+
+  // Depths top-down: every parent was created after its children.
+  std::vector<int> depth(2 * u - 1, 0);
+  for (size_t v = 2 * u - 2; v-- > 0;) depth[v] = depth[parent[v]] + 1;
+
   // Histogram of code lengths, clamped to max_bits.
   std::vector<int> num_codes(max_bits + 1, 0);
-  for (int d : depth) ++num_codes[std::min(d, max_bits)];
+  for (size_t i = 0; i < u; ++i) ++num_codes[std::min(depth[i], max_bits)];
 
   // Kraft repair (the miniz "enforce max code size" pass): while the
   // scaled Kraft sum exceeds 2^max_bits, demote one max-length code by
@@ -107,20 +127,26 @@ std::vector<uint8_t> BuildHuffmanCodeLengths(const std::vector<uint64_t>& freqs,
     --total;
   }
 
-  // Assign lengths: most frequent symbol gets the shortest length.
-  std::vector<size_t> order(used.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return freqs[used[a]] > freqs[used[b]];
-  });
-  size_t k = 0;
-  for (int len = 1; len <= max_bits; ++len) {
-    for (int c = 0; c < num_codes[len]; ++c) {
-      RLZ_CHECK_LT(k, order.size());
-      lengths[used[order[k++]]] = static_cast<uint8_t>(len);
+  // Assign lengths: most frequent symbol gets the shortest length, and
+  // equal frequencies go in symbol order — the leaves walked from the
+  // most frequent run down, each run front to back.
+  int len = 1;
+  int left = num_codes[1];
+  auto assign = [&](uint32_t symbol) {
+    while (left == 0) {
+      ++len;
+      RLZ_CHECK_LE(len, max_bits);
+      left = num_codes[len];
     }
+    --left;
+    lengths[symbol] = static_cast<uint8_t>(len);
+  };
+  for (size_t hi = u; hi > 0;) {
+    size_t lo = hi - 1;
+    while (lo > 0 && leaves[lo - 1].freq == leaves[hi - 1].freq) --lo;
+    for (size_t i = lo; i < hi; ++i) assign(leaves[i].symbol);
+    hi = lo;
   }
-  RLZ_CHECK_EQ(k, order.size());
   return lengths;
 }
 

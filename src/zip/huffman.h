@@ -13,10 +13,14 @@ namespace rlz {
 inline constexpr int kMaxHuffmanBits = 15;
 
 /// Computes length-limited Huffman code lengths for `freqs` (0 for unused
-/// symbols). Uses a standard tree build followed by the zlib/miniz
-/// Kraft-repair pass to enforce `max_bits`. Symbols with nonzero frequency
-/// always receive a length in [1, max_bits]. If only one symbol is used it
-/// gets length 1.
+/// symbols; their total must fit in 64 bits). Builds the tree with a
+/// two-queue merge that takes nodes in a binary heap's (frequency, node)
+/// order, then applies the zlib/miniz Kraft-repair pass to enforce
+/// `max_bits`. Symbols with nonzero frequency always receive a length in
+/// [1, max_bits]; equal frequencies get lengths in symbol order. If only
+/// one symbol is used it gets length 1. The lengths are part of every
+/// gzipx stream, so they are pinned against the heap build in
+/// tests/zip_test.cpp.
 std::vector<uint8_t> BuildHuffmanCodeLengths(const std::vector<uint64_t>& freqs,
                                              int max_bits = kMaxHuffmanBits);
 
@@ -35,6 +39,8 @@ class HuffmanEncoder {
   }
 
   uint8_t length(uint32_t symbol) const { return lengths_[symbol]; }
+  /// Bit-reversed canonical code of `symbol`, ready for BitWriter.
+  uint16_t code(uint32_t symbol) const { return codes_[symbol]; }
 
  private:
   std::vector<uint16_t> codes_;  // bit-reversed canonical codes

@@ -126,6 +126,56 @@ INSTANTIATE_TEST_SUITE_P(Codings, ArchiveIoTest,
                          ::testing::Values("ZZ", "ZV", "UZ", "UV"),
                          [](const auto& info) { return info.param; });
 
+// Every byte of a saved RLZ archive, for all twelve position x length
+// codings, against constants recorded before the encoder's matcher and
+// Z-stream kernels were rewritten: the factors, every gzipx stream and
+// the container must stay byte-identical (DESIGN.md §5.1).
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(ArchiveBytesTest, SavedBytesArePinnedForAllCodings) {
+  CorpusOptions corpus;
+  corpus.target_bytes = 1 << 19;
+  corpus.seed = 1803;
+  const Collection collection = GenerateCorpus(corpus).collection;
+  const struct {
+    const char* coding;
+    uint64_t fnv;
+  } kPinned[] = {
+      {"UV", 0xf5e55f46b9bc7f77ull},
+      {"UZ", 0x6110aad3a1f771dbull},
+      {"US", 0xc39b6170f0ba7b2full},
+      {"UP", 0xd9bf0ce556a46c4dull},
+      {"ZV", 0x758ded067f2ff795ull},
+      {"ZZ", 0x44c3b97459dce6c0ull},
+      {"ZS", 0xc9095ab26197ac16ull},
+      {"ZP", 0x4fda89ba88b6dfa0ull},
+      {"PV", 0x734c62967e0cedbeull},
+      {"PZ", 0x243e98bc696b4b26ull},
+      {"PS", 0x6ea8812c764bdc4full},
+      {"PP", 0xe060a3c44bacf5f2ull},
+  };
+  for (const auto& pin : kPinned) {
+    RlzOptions options;
+    options.dict_bytes = 16 << 10;
+    options.coding = *PairCoding::FromName(pin.coding);
+    const std::string bytes =
+        CompressCollection(collection, options)->Serialize();
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(Fnv1a64(bytes)));
+    EXPECT_EQ(Fnv1a64(bytes), pin.fnv)
+        << pin.coding << ": actual 0x" << hex << ", " << bytes.size()
+        << " bytes";
+  }
+}
+
 TEST(ArchiveIoEdgeTest, EmptyCollection) {
   Collection empty;
   auto archive = CompressCollection(empty, {});

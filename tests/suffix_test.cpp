@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -108,35 +109,79 @@ TEST(SuffixArrayTest, PeriodicStrings) {
   }
 }
 
+// The paper's Refine(lb, rb, offset, c) (Fig. 1): narrows the inclusive SA
+// interval [*lb, *rb], whose suffixes share their first `offset`
+// characters, to the suffixes whose character at `offset` is `c`, with two
+// binary searches. Returns false if none qualifies. The matcher no longer
+// searches this way (DESIGN.md §5.1); this is the paper's step-by-step
+// definition the Table 1 trace below checks.
+bool Refine(std::string_view text, const std::vector<int32_t>& sa,
+            int32_t* lb, int32_t* rb, int32_t offset, uint8_t c) {
+  if (*lb > *rb) return false;
+  // Character of suffix sa[i] at `offset`; -1 past its end sorts first.
+  auto char_at = [&](int32_t i) -> int {
+    const size_t p = static_cast<size_t>(sa[i]) + offset;
+    return p < text.size() ? static_cast<uint8_t>(text[p]) : -1;
+  };
+  int32_t lo = *lb;
+  int32_t hi = *rb + 1;
+  while (lo < hi) {
+    const int32_t mid = lo + (hi - lo) / 2;
+    if (char_at(mid) < c) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  const int32_t new_lb = lo;
+  if (new_lb > *rb || char_at(new_lb) != c) return false;
+  hi = *rb + 1;
+  while (lo < hi) {
+    const int32_t mid = lo + (hi - lo) / 2;
+    if (char_at(mid) <= c) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  *lb = new_lb;
+  *rb = lo - 1;
+  return true;
+}
+
 TEST(MatcherTest, PaperRefineExample) {
   // Table 1, step by step: searching x = bbaancabb in d = cabbaabba.
   // Paper bounds are 1-based; ours are 0-based (subtract 1).
   const std::string d = "cabbaabba";
-  SuffixMatcher matcher(d);
+  const std::vector<int32_t> sa = BuildSuffixArray(d);
   int32_t lb = 0;
   int32_t rb = 8;
-  ASSERT_TRUE(matcher.Refine(&lb, &rb, 0, 'b'));
+  ASSERT_TRUE(Refine(d, sa, &lb, &rb, 0, 'b'));
   EXPECT_EQ(lb, 4);  // paper: 5
   EXPECT_EQ(rb, 7);  // paper: 8
-  ASSERT_TRUE(matcher.Refine(&lb, &rb, 1, 'b'));
+  ASSERT_TRUE(Refine(d, sa, &lb, &rb, 1, 'b'));
   EXPECT_EQ(lb, 6);  // paper: 7
   EXPECT_EQ(rb, 7);  // paper: 8
   // Both "bba" and "bbaabba" match prefix "bba" (the paper's trace narrows
   // to a single suffix here already; the interval semantics keep both).
-  ASSERT_TRUE(matcher.Refine(&lb, &rb, 2, 'a'));
+  ASSERT_TRUE(Refine(d, sa, &lb, &rb, 2, 'a'));
   EXPECT_EQ(lb, 6);
   EXPECT_EQ(rb, 7);
   // Fourth character: suffix "bba" is exhausted, only "bbaabba" survives —
   // the paper's (8, 8), 0-based (7, 7).
-  ASSERT_TRUE(matcher.Refine(&lb, &rb, 3, 'a'));
+  ASSERT_TRUE(Refine(d, sa, &lb, &rb, 3, 'a'));
   EXPECT_EQ(lb, 7);
   EXPECT_EQ(rb, 7);
   // Fifth character 'n' does not occur: refinement fails.
   int32_t lb2 = lb;
   int32_t rb2 = rb;
-  EXPECT_FALSE(matcher.Refine(&lb2, &rb2, 4, 'n'));
+  EXPECT_FALSE(Refine(d, sa, &lb2, &rb2, 4, 'n'));
   // The surviving suffix is d[3..] = "baabba"... SA[7] = 2 (paper SA[8]=3).
-  EXPECT_EQ(matcher.sa()[lb], 2);
+  EXPECT_EQ(sa[lb], 2);
+  // The matcher reports the same factor: "bbaa" at SA[7] = 2.
+  const Match m = SuffixMatcher(d).LongestMatch("bbaancabb");
+  EXPECT_EQ(m.pos, sa[lb]);
+  EXPECT_EQ(m.len, 4);
 }
 
 TEST(MatcherTest, PaperLongestMatches) {
@@ -322,6 +367,147 @@ TEST(MatcherPropertyTest, JumpTableMatchesBinarySearchOnTinyTexts) {
   const std::string text = "bbbbbbba";
   std::vector<std::string> patterns = {"a", "ab", "ac", "aa"};
   CrossCheckMatchers(text, patterns, "last-suffix");
+}
+
+// ---------------------------------------------------------------------------
+// Exact tie rule. Factor positions are part of the archive bytes, so the
+// matcher must return not just a longest match but the one Fig. 1 does:
+// the maximal LCP L over all suffixes, at SA[lb] for the lowest SA rank lb
+// whose suffix shares those L bytes. The brute-force oracle scans every
+// rank.
+
+Match OracleLongestMatch(std::string_view text,
+                         const std::vector<int32_t>& sa,
+                         std::string_view pattern) {
+  Match best;
+  for (size_t r = 0; r < sa.size(); ++r) {
+    const size_t start = static_cast<size_t>(sa[r]);
+    size_t l = 0;
+    while (l < pattern.size() && start + l < text.size() &&
+           text[start + l] == pattern[l]) {
+      ++l;
+    }
+    if (static_cast<int32_t>(l) > best.len) {  // strict: lowest rank wins
+      best.len = static_cast<int32_t>(l);
+      best.pos = static_cast<int32_t>(start);
+    }
+  }
+  return best;
+}
+
+void ExpectOracleMatches(const std::string& text,
+                         const std::vector<std::string>& patterns,
+                         const std::string& label) {
+  const std::vector<int32_t> sa = BuildSuffixArray(text);
+  for (const bool jump : {true, false}) {
+    const SuffixMatcher matcher(text, sa, jump);
+    for (const std::string& pattern : patterns) {
+      const Match want = OracleLongestMatch(text, sa, pattern);
+      const Match got = matcher.LongestMatch(pattern);
+      ASSERT_EQ(got.len, want.len)
+          << label << (jump ? " (jump)" : " (no jump)") << ": pattern of "
+          << pattern.size() << " bytes";
+      ASSERT_EQ(got.pos, want.pos)
+          << label << (jump ? " (jump)" : " (no jump)") << ": pattern of "
+          << pattern.size() << " bytes, len " << got.len;
+    }
+  }
+}
+
+// StressPatterns plus patterns that run past the text's end: every suffix
+// of the text extended by a byte, so the match stops where the text does.
+std::vector<std::string> OraclePatterns(const std::string& text, Rng& rng) {
+  std::vector<std::string> patterns = StressPatterns(text, rng);
+  for (size_t i = 0; i < text.size(); i += 1 + text.size() / 40) {
+    patterns.push_back(text.substr(i) + text.substr(0, 1 + i % 7));
+    patterns.push_back(text.substr(i) + '\xff');
+    patterns.push_back(text.substr(i) + '\0');
+  }
+  return patterns;
+}
+
+TEST(MatcherOracleTest, RandomTexts) {
+  Rng rng(1804);
+  for (const int alphabet : {2, 3, 4, 26}) {
+    const std::string text = RandomString(rng, 1500, alphabet);
+    ExpectOracleMatches(text, OraclePatterns(text, rng),
+                        "alphabet " + std::to_string(alphabet));
+  }
+}
+
+TEST(MatcherOracleTest, FullByteAlphabet) {
+  Rng rng(1805);
+  std::string text(3000, '\0');
+  for (auto& c : text) c = static_cast<char>(rng.Uniform(256));
+  ExpectOracleMatches(text, OraclePatterns(text, rng), "bytes");
+}
+
+TEST(MatcherOracleTest, PeriodicTexts) {
+  // Long runs of equal suffixes: many ranks tie on the maximal LCP, so the
+  // lowest-rank rule decides the position.
+  Rng rng(1806);
+  for (const char* period : {"a", "ab", "aab", "abcabd", "abaababaab"}) {
+    std::string text;
+    while (text.size() < 1200) text += period;
+    std::vector<std::string> patterns = OraclePatterns(text, rng);
+    std::string run;
+    while (run.size() < 1500) run += period;  // longer than the text
+    patterns.push_back(run);
+    patterns.push_back(run.substr(1));
+    ExpectOracleMatches(text, patterns, period);
+  }
+}
+
+TEST(MatcherOracleTest, NulBearingTexts) {
+  Rng rng(1807);
+  std::string text;
+  for (int i = 0; i < 1000; ++i) {
+    const uint64_t r = rng.Uniform(4);
+    text.push_back(static_cast<char>(r == 0 ? 'x' : rng.Uniform(3)));
+  }
+  std::vector<std::string> patterns = OraclePatterns(text, rng);
+  patterns.push_back(std::string(1, '\0'));
+  patterns.push_back(std::string(3, '\0'));
+  patterns.push_back(std::string(2000, '\0'));
+  ExpectOracleMatches(text, patterns, "nul");
+}
+
+TEST(MatcherOracleTest, TinyTexts) {
+  // Every text of one to three bytes over {a, b, \0} against every pattern
+  // of up to four bytes over {a, b, c, \0}: the jump table's threshold,
+  // length-1 suffixes and patterns longer than the text.
+  const std::string alphabet("ab\0", 3);
+  const std::string pattern_alphabet("abc\0", 4);
+  std::vector<std::string> texts;
+  std::vector<std::string> layer = {""};
+  for (int len = 1; len <= 3; ++len) {
+    std::vector<std::string> next;
+    for (const std::string& s : layer) {
+      for (const char c : alphabet) next.push_back(s + c);
+    }
+    texts.insert(texts.end(), next.begin(), next.end());
+    layer = std::move(next);
+  }
+  std::vector<std::string> patterns = {""};
+  layer = {""};
+  for (int len = 1; len <= 4; ++len) {
+    std::vector<std::string> next;
+    for (const std::string& s : layer) {
+      for (const char c : pattern_alphabet) next.push_back(s + c);
+    }
+    patterns.insert(patterns.end(), next.begin(), next.end());
+    layer = std::move(next);
+  }
+  for (const std::string& text : texts) {
+    ExpectOracleMatches(text, patterns, "tiny text of " +
+                                            std::to_string(text.size()));
+  }
+}
+
+TEST(MatcherOracleTest, EmptyText) {
+  const SuffixMatcher matcher("");
+  EXPECT_EQ(matcher.LongestMatch("abc").len, 0);
+  EXPECT_EQ(matcher.LongestMatch("").len, 0);
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
 #include <algorithm>
+#include <cstdio>
+#include <functional>
+#include <iterator>
+#include <queue>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "codecs/int_codecs.h"
 #include "util/random.h"
 #include "zip/compressor.h"
 #include "zip/gzipx.h"
@@ -528,6 +533,307 @@ TEST(GzipxTest, PrefixStopInflatesExactlyThePrefix) {
       ASSERT_EQ(out, input.substr(0, 64)) << "cut " << cut;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Byte-identity guards for the gzipx encoder. Every Z-coded factor stream
+// in a saved archive goes through BuildHuffmanCodeLengths and
+// GzipxCompressor::Compress, so a change to either that alters one output
+// byte silently changes every archive's bytes and its Enc.% columns.
+// ---------------------------------------------------------------------------
+
+// The priority-queue Huffman builder the encoder shipped with, kept as the
+// reference: a min-heap over (freq, node index) pairs with leaves numbered
+// in symbol order, depths from a tree walk, the miniz Kraft repair, and
+// lengths dealt out by a stable frequency-descending sort.
+std::vector<uint8_t> ReferenceHuffmanCodeLengths(
+    const std::vector<uint64_t>& freqs, int max_bits = kMaxHuffmanBits) {
+  const size_t n = freqs.size();
+  std::vector<uint8_t> lengths(n, 0);
+  std::vector<size_t> used;
+  for (size_t s = 0; s < n; ++s) {
+    if (freqs[s] > 0) used.push_back(s);
+  }
+  if (used.empty()) return lengths;
+  if (used.size() == 1) {
+    lengths[used[0]] = 1;
+    return lengths;
+  }
+  struct Node {
+    uint64_t freq;
+    int32_t left;
+    int32_t right;
+  };
+  std::vector<Node> nodes;
+  using QEntry = std::pair<uint64_t, int32_t>;
+  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
+  for (size_t i = 0; i < used.size(); ++i) {
+    nodes.push_back({freqs[used[i]], -1, static_cast<int32_t>(i)});
+    pq.emplace(nodes.back().freq, static_cast<int32_t>(nodes.size() - 1));
+  }
+  while (pq.size() > 1) {
+    const auto [fa, a] = pq.top();
+    pq.pop();
+    const auto [fb, b] = pq.top();
+    pq.pop();
+    nodes.push_back({fa + fb, a, b});
+    pq.emplace(fa + fb, static_cast<int32_t>(nodes.size() - 1));
+  }
+  std::vector<int> depth(used.size(), 0);
+  std::vector<std::pair<int32_t, int>> stack;
+  stack.emplace_back(static_cast<int32_t>(nodes.size() - 1), 0);
+  while (!stack.empty()) {
+    const auto [idx, d] = stack.back();
+    stack.pop_back();
+    const Node& nd = nodes[idx];
+    if (nd.left == -1) {
+      depth[nd.right] = std::max(d, 1);
+    } else {
+      stack.emplace_back(nd.left, d + 1);
+      stack.emplace_back(nd.right, d + 1);
+    }
+  }
+  std::vector<int> num_codes(max_bits + 1, 0);
+  for (int d : depth) ++num_codes[std::min(d, max_bits)];
+  uint64_t total = 0;
+  for (int i = 1; i <= max_bits; ++i) {
+    total += static_cast<uint64_t>(num_codes[i]) << (max_bits - i);
+  }
+  while (total > (1ULL << max_bits)) {
+    --num_codes[max_bits];
+    for (int i = max_bits - 1; i >= 1; --i) {
+      if (num_codes[i] > 0) {
+        --num_codes[i];
+        num_codes[i + 1] += 2;
+        break;
+      }
+    }
+    --total;
+  }
+  std::vector<size_t> order(used.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return freqs[used[a]] > freqs[used[b]];
+  });
+  size_t k = 0;
+  for (int len = 1; len <= max_bits; ++len) {
+    for (int c = 0; c < num_codes[len]; ++c) {
+      lengths[used[order[k++]]] = static_cast<uint8_t>(len);
+    }
+  }
+  return lengths;
+}
+
+void ExpectSameLengths(const std::vector<uint64_t>& freqs, int max_bits,
+                       const std::string& label) {
+  ASSERT_EQ(BuildHuffmanCodeLengths(freqs, max_bits),
+            ReferenceHuffmanCodeLengths(freqs, max_bits))
+      << label;
+}
+
+TEST(HuffmanTest, LengthsMatchPriorityQueueReference) {
+  // Degenerate tables: nothing, one and two used symbols.
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{30}, size_t{286}}) {
+    std::vector<uint64_t> freqs(n, 0);
+    ExpectSameLengths(freqs, kMaxHuffmanBits, "none");
+    freqs[n - 1] = 7;
+    ExpectSameLengths(freqs, kMaxHuffmanBits, "one");
+    freqs[0] += 7;
+    ExpectSameLengths(freqs, kMaxHuffmanBits, "two equal");
+    freqs[0] = 1;
+    ExpectSameLengths(freqs, kMaxHuffmanBits, "two skewed");
+  }
+
+  Rng rng(1801);
+  for (int iter = 0; iter < 400; ++iter) {
+    const size_t n = iter % 2 == 0 ? 286 : 30;
+    std::vector<uint64_t> freqs(n, 0);
+    // Small value ranges make many ties, both between leaves and between
+    // a leaf and an internal node, which is where pop order matters.
+    const uint64_t range = iter % 5 == 0 ? 1 : (iter % 5 == 1 ? 3 : 1000);
+    const int density = 1 + static_cast<int>(rng.Uniform(4));
+    for (auto& f : freqs) {
+      if (rng.Uniform(4) < static_cast<uint64_t>(density)) {
+        f = 1 + rng.Uniform(range);
+      }
+    }
+    ExpectSameLengths(freqs, kMaxHuffmanBits,
+                      "random iter " + std::to_string(iter));
+  }
+
+  // Skews that overflow 15 bits and force the Kraft repair: Fibonacci and
+  // geometric tables, alone and padded with ties, and a tighter limit.
+  for (const size_t n : {size_t{30}, size_t{40}, size_t{286}}) {
+    std::vector<uint64_t> fib(n, 0);
+    uint64_t a = 1;
+    uint64_t b = 1;
+    for (size_t i = 0; i < n && i < 60; ++i) {
+      fib[i] = a;
+      const uint64_t next = a + b;
+      a = b;
+      b = next;
+    }
+    ExpectSameLengths(fib, kMaxHuffmanBits, "fibonacci");
+    ExpectSameLengths(fib, 7, "fibonacci limit 7");
+    // Growth stops at 2^50 so the frequency total fits in 64 bits.
+    std::vector<uint64_t> geo(n, 0);
+    uint64_t f = 1;
+    for (auto& x : geo) {
+      x = f;
+      if (f < (1ull << 50)) f = f + f / 2 + 1;
+    }
+    ExpectSameLengths(geo, kMaxHuffmanBits, "geometric");
+    for (size_t i = 0; i < n; i += 3) geo[i] = 5;
+    ExpectSameLengths(geo, kMaxHuffmanBits, "geometric with ties");
+  }
+}
+
+// 64-bit FNV-1a, to pin outputs too long to spell out.
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::string Hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    hex += kDigits[static_cast<uint8_t>(c) >> 4];
+    hex += kDigits[static_cast<uint8_t>(c) & 0xF];
+  }
+  return hex;
+}
+
+TEST(GzipxTest, CompressBytesArePinned) {
+  // Short inputs, spelled out byte for byte.
+  const GzipxCompressor gz;
+  const struct {
+    std::string input;
+    const char* hex;
+  } kShort[] = {
+      {"", "c70000000000"},
+      {"x", "c701010101788316dc8c"},
+      {"abc", "c703030301616263c2412435"},
+  };
+  for (const auto& c : kShort) {
+    std::string out;
+    gz.Compress(c.input, &out);
+    EXPECT_EQ(Hex(out), c.hex) << "input of " << c.input.size() << " bytes";
+  }
+
+  // Longer inputs through both option sets in use: the default and the
+  // factor coder's per-document stream settings.
+  Rng rng(1802);
+  std::string random(50000, '\0');
+  for (auto& c : random) c = static_cast<char>(rng.Uniform(256));
+  std::string text;
+  while (text.size() < 200000) {
+    text += "doc " + std::to_string(rng.Uniform(5000)) + " pos " +
+            std::to_string(rng.Uniform(70)) + "; ";
+  }
+  // More than 32K tokens: mostly literals over a small alphabet, so the
+  // stream spans two Huffman blocks.
+  std::string many_tokens(60000, '\0');
+  for (auto& c : many_tokens) c = static_cast<char>('a' + rng.Uniform(20));
+  // A 40 KB random block repeated: the copy sits past the 32 KB window
+  // except where the repeat starts exactly 32768 bytes back.
+  std::string block(40 << 10, '\0');
+  for (auto& c : block) c = static_cast<char>(rng.Uniform(256));
+  std::string far = block + block;
+  far += far.substr(far.size() - 32768, 1000);
+  const struct {
+    const char* name;
+    std::string input;
+  } kLong[] = {
+      {"run", std::string(100000, 'a')},
+      {"run_pair", std::string(300, 'q') + std::string(70000, '\0')},
+      {"random", random},
+      {"text", text},
+      {"many_tokens", many_tokens},
+      {"far", far},
+  };
+  const GzipxCompressor stream_gz(
+      GzipxOptions{.max_chain = 512, .nice_length = 258, .lazy = true});
+  const GzipxCompressor greedy_gz(
+      GzipxOptions{.max_chain = 8, .nice_length = 16, .lazy = false});
+  const struct {
+    const char* name;
+    const GzipxCompressor* gz;
+  } kOptions[] = {{"default", &gz}, {"stream", &stream_gz},
+                  {"greedy", &greedy_gz}};
+  // Recorded at the encoder these guards were written against; a change
+  // to the tokenizer, the block split, the Huffman lengths or the bit
+  // writer shows up here first.
+  const struct {
+    size_t size;
+    uint64_t fnv;
+  } kPinned[] = {
+      {272, 0x23cb411272135e3full},    // default/run
+      {245, 0xa544ad72b5e8a586ull},    // default/run_pair
+      {50022, 0xd8a100434951481aull},  // default/random
+      {45543, 0xfa4be29df44b357full},  // default/text
+      {34648, 0x2ddc000f49aed571ull},  // default/many_tokens
+      {82128, 0x6515508b5f402630ull},  // default/far
+      {272, 0x23cb411272135e3full},    // stream/run
+      {245, 0xa544ad72b5e8a586ull},    // stream/run_pair
+      {50022, 0xd8a100434951481aull},  // stream/random
+      {45051, 0xb1c0220c2c78bcddull},  // stream/text
+      {34648, 0x2ddc000f49aed571ull},  // stream/many_tokens
+      {82128, 0x6515508b5f402630ull},  // stream/far
+      {272, 0x23cb411272135e3full},    // greedy/run
+      {245, 0xa544ad72b5e8a586ull},    // greedy/run_pair
+      {50022, 0xd8a100434951481aull},  // greedy/random
+      {48814, 0x6e6044d8b4584f03ull},  // greedy/text
+      {34653, 0xced431ffc349dbe4ull},  // greedy/many_tokens
+      {82128, 0x6515508b5f402630ull},  // greedy/far
+  };
+  size_t k = 0;
+  for (const auto& options : kOptions) {
+    for (const auto& c : kLong) {
+      std::string out;
+      options.gz->Compress(c.input, &out);
+      std::string back;
+      ASSERT_TRUE(options.gz->Decompress(out, &back).ok());
+      ASSERT_EQ(back, c.input);
+      if (std::string_view(c.name) == "many_tokens") {
+        // The first block covers only part of the input.
+        size_t pos = 1;
+        uint32_t total = 0;
+        uint32_t span = 0;
+        ASSERT_TRUE(VByteCodec::Get(out, &pos, &total).ok());
+        ASSERT_TRUE(VByteCodec::Get(out, &pos, &span).ok());
+        EXPECT_LT(span, total) << options.name;
+      }
+      char hex[24];
+      std::snprintf(hex, sizeof(hex), "%016llx",
+                    static_cast<unsigned long long>(Fnv1a64(out)));
+      ASSERT_LT(k, std::size(kPinned));
+      EXPECT_EQ(out.size(), kPinned[k].size) << options.name << "/" << c.name;
+      EXPECT_EQ(Fnv1a64(out), kPinned[k].fnv)
+          << options.name << "/" << c.name << ": actual 0x" << hex;
+      ++k;
+    }
+  }
+  EXPECT_EQ(k, std::size(kPinned));
+
+  // An input above the encoder's 1 MB scratch limit releases its
+  // per-thread tables afterwards; the next call rebuilds them and must
+  // still produce the pinned bytes.
+  std::string large;
+  while (large.size() < (1200u << 10)) large += text;
+  std::string out;
+  gz.Compress(large, &out);
+  std::string back;
+  ASSERT_TRUE(gz.Decompress(out, &back).ok());
+  ASSERT_EQ(back, large);
+  out.clear();
+  gz.Compress(text, &out);
+  EXPECT_EQ(out.size(), kPinned[3].size);
+  EXPECT_EQ(Fnv1a64(out), kPinned[3].fnv);
 }
 
 TEST(LzmaxTest, RepMatchesExploitStructuredData) {
